@@ -208,7 +208,7 @@ def _load_design(cfg, ctx: _RunContext, n_g: int) -> DesignMatrix:
     raise ValueError("design config needs 'values', 'path', or a basis recipe with 'x' and 'm'")
 
 
-def _parse_elicitation(cfg, ctx: _RunContext, default_n=None) -> ElicitationSpec:
+def _parse_elicitation(cfg, default_n=None) -> ElicitationSpec:
     if not isinstance(cfg, dict):
         raise ValueError("elicitation config must be a JSON object")
     has_c = "c" in cfg
@@ -233,10 +233,6 @@ def _parse_elicitation(cfg, ctx: _RunContext, default_n=None) -> ElicitationSpec
         p=float(cfg.get("p", 0.5)),
         q=float(cfg.get("q", 1.5)),
         pi0=float(cfg.get("pi0", 0.5)),
-        mc_draws=ctx.settings["mc_draws"]
-        if ctx.settings["mc_draws"] is not None
-        else int(cfg.get("mc_draws", 1_000_000)),
-        seed=ctx.settings["seed"] if ctx.settings["seed"] is not None else int(cfg.get("seed", 0)),
     )
 
 
@@ -308,24 +304,18 @@ def _cmd_approx(cfg, ctx: _RunContext):
 
 
 def _cmd_elicit(cfg, ctx: _RunContext):
-    spec = _parse_elicitation(cfg, ctx)
-    ctx.settings["seed"] = spec.seed
-    ctx.settings["mc_draws"] = spec.mc_draws
+    spec = _parse_elicitation(cfg)
     solution = solve_scale(spec)
     ctx.write_json(
         "elicit.json",
         {
             "b": solution.b,
-            "standard_error": solution.standard_error,
             "quantile": solution.quantile,
             "pi0": solution.pi0,
             "c": solution.c,
             "n": spec.n,
             "p": spec.p,
             "q": spec.q,
-            "mc_draws": solution.mc_draws,
-            "seed": spec.seed,
-            "warnings": solution.warnings,
         },
     )
 
@@ -333,6 +323,8 @@ def _cmd_elicit(cfg, ctx: _RunContext):
 def _cmd_prior(cfg, ctx: _RunContext):
     theta = _load_params(cfg)
     points = ctx.settings["grid_points"]
+    if points < 2:
+        raise ValueError("--grid-points must be at least 2")
     curve = dsd_cdf_quantile(theta)
     lo = curve.quantile(1e-3)
     hi = curve.quantile(1.0 - 1e-3)
@@ -353,9 +345,7 @@ def _cmd_sample(cfg, ctx: _RunContext):
 def _cmd_pipeline(cfg, ctx: _RunContext):
     spec = _load_structure(_require(cfg, "structure"), ctx)
     design = _load_design(_require(cfg, "design"), ctx, spec.n_g)
-    elic = _parse_elicitation(_require(cfg, "elicitation"), ctx, default_n=design.n)
-    ctx.settings["seed"] = elic.seed
-    ctx.settings["mc_draws"] = elic.mc_draws
+    elic = _parse_elicitation(_require(cfg, "elicitation"), default_n=design.n)
     prior = build_dsd_prior(design, spec, elic)
     ctx.write_json(
         "bundle.json",
@@ -364,12 +354,9 @@ def _cmd_pipeline(cfg, ctx: _RunContext):
             "params": asdict(prior.params),
             "scale": {
                 "b": prior.scale.b,
-                "standard_error": prior.scale.standard_error,
                 "quantile": prior.scale.quantile,
                 "pi0": prior.scale.pi0,
                 "c": prior.scale.c,
-                "mc_draws": prior.scale.mc_draws,
-                "warnings": prior.scale.warnings,
             },
             "weights": prior.weights.weights,
             "n_predictor": prior.weights.n_predictor,
@@ -381,9 +368,10 @@ def _cmd_pipeline(cfg, ctx: _RunContext):
 
 def _cmd_verify(cfg, ctx: _RunContext):
     """Invariant battery: closed-form reductions, normalization of the
-    numeric evaluator, the defining mixture identity, and the weighted
-    chi-square distribution against Monte Carlo. Writes verify.json and
-    fails with the numerical exit code if any check misses its bound."""
+    numeric evaluator, the defining mixture identity, and the scale solve
+    and the weighted chi-square distribution against Monte Carlo. Writes
+    verify.json and fails with the numerical exit code if any check
+    misses its bound."""
     cfg = cfg or {}
     mc_draws = (
         ctx.settings["mc_draws"]
@@ -435,6 +423,12 @@ def _cmd_verify(cfg, ctx: _RunContext):
     v_grid = np.quantile(draws, np.linspace(0.01, 0.99, 15))
     report = integral_equation_residual(generic, v_grid)
     record("residual[generic]", report.max_rel_error, 1e-4)
+
+    # the same unit-scale draws (n = 50, p = 1/2, q = 3/2) must fall below
+    # the solved pi0-quantile with probability pi0
+    solved = solve_scale(ElicitationSpec(n=50, c=1.0, pi0=0.5))
+    share = np.mean(draws <= solved.quantile)
+    record("scale-solve[mc]", abs(share - solved.pi0), 2.5 / math.sqrt(draws.size))
 
     # same identity on fitted penalized-spline components: cubic bases
     # over 50 points, second-order walk penalty, constrained
@@ -489,43 +483,32 @@ def _build_parser() -> _Parser:
         sub = subparsers.add_parser(name, help=(runner.__doc__ or "").split("\n")[0] or None)
         sub.add_argument("--config", required=True, help="path to the JSON config file")
         sub.add_argument("--out", required=True, help="output directory")
-        sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sub.add_argument(
-            "--mc-draws", type=int, default=None, help="override the Monte Carlo budget"
-        )
-        sub.add_argument(
-            "--grid-points", type=int, default=512, help="rows in exported density grids"
-        )
-        sub.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="recorded in the manifest; evaluation is single threaded and deterministic",
-        )
+        if name in ("sample", "verify"):
+            sub.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name == "verify":
+            sub.add_argument(
+                "--mc-draws", type=int, default=None, help="override the Monte Carlo budget"
+            )
+        if name == "prior":
+            sub.add_argument(
+                "--grid-points", type=int, default=512, help="rows in exported density grids"
+            )
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        if args.grid_points < 2:
-            raise ValueError("--grid-points must be at least 2")
-        cfg_path = Path(args.config)
-        ctx = _RunContext(
-            cfg_dir=cfg_path.parent,
-            out_dir=Path(args.out),
-            settings={
-                "seed": args.seed,
-                "mc_draws": args.mc_draws,
-                "grid_points": args.grid_points,
-                "threads": args.threads,
-            },
-        )
+        args = vars(_build_parser().parse_args(argv))
+        command = args.pop("command")
+        cfg_path = Path(args.pop("config"))
+        # what is left are the command's own flags; each command replaces
+        # them by the values it actually used
+        ctx = _RunContext(cfg_dir=cfg_path.parent, out_dir=Path(args.pop("out")), settings=args)
         cfg = load_json(cfg_path)
         ctx.inputs[cfg_path.name] = sha256_file(cfg_path)
-        _COMMANDS[args.command](cfg, ctx)
+        _COMMANDS[command](cfg, ctx)
         manifest = {
-            "command": args.command,
+            "command": command,
             "versions": {
                 "dsdprior": __version__,
                 "python": platform.python_version(),

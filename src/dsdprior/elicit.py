@@ -2,25 +2,29 @@
 parameters.
 
 The chain: a likelihood-specific pseudo-variance gives the bound c, a
-Monte Carlo solve of P[b V* <= c] = pi0 gives the base-prior scale b,
-and composing with the component's quadratic-form weights gives the full
-design-adjusted prior.  Everything is deterministic given the seed; the
-Monte Carlo contract is that results depend only on (seed, mc_draws,
-chunk_size), never on thread count.
+deterministic scale solve of P[b V* <= c] = pi0 gives the base-prior
+scale b, and composing with the component's quadratic-form weights gives
+the full design-adjusted prior.  The same spec always gives
+bitwise-identical results.  Monte Carlo appears only in the simulation
+checks, whose results depend only on their seed and draw count.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import gaussian_kde, norm
+from scipy.optimize import brentq
+from scipy.special import betaincinv, gammainc, ndtri
 
 from . import __version__
-from .priors import DsdParams, TwoF0Params, dsd_cdf_quantile, twoF0_sample
+from ._quad import ConvergenceError, log_tanh_sinh_01
+from .priors import DsdParams, dsd_cdf_quantile
 from .qf import gamma_approx
+from .specfun import log_beta
 from .structure import DesignMatrix, StructureSpec, qf_weights, spectral_split
 
 __all__ = [
@@ -90,24 +94,24 @@ def pseudo_variance(kind):
     if kind.kind == "binomial_logit":
         return 1.0 / (kind.value * (1.0 - kind.value))
     if kind.kind == "binomial_probit":
-        density = float(norm.pdf(norm.ppf(kind.value)))
-        return kind.value * (1.0 - kind.value) / (density * density)
+        z = float(ndtri(kind.value))
+        # 1 / phi(z)^2 = 2 pi exp(z^2)
+        return kind.value * (1.0 - kind.value) * 2.0 * math.pi * math.exp(z * z)
     return kind.value
 
 
 @dataclass(frozen=True)
 class ElicitationSpec:
     """Inputs of the scale solve: predictor length n (benchmark shape
-    and rate are both (n-1)/2), base-prior exponents, the probability
-    statement P[b V* <= c] = pi0, and the Monte Carlo budget."""
+    and rate are both (n-1)/2), base-prior exponents, and the
+    probability statement P[b V* <= c] = pi0.  The marginal benchmark
+    needs p < 1 + (n-1)/2."""
 
     n: int
     c: float
     p: float = 0.5
     q: float = 1.5
     pi0: float = 0.5
-    mc_draws: int = 1_000_000
-    seed: int = 0
 
     def __post_init__(self):
         n = int(self.n)
@@ -119,67 +123,81 @@ class ElicitationSpec:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
             object.__setattr__(self, name, value)
+        if not self.p < 1.0 + 0.5 * (n - 1):
+            raise ValueError(
+                f"marginal benchmark requires p < 1 + (n-1)/2; got p={self.p!r}, n={n}"
+            )
         pi0 = float(self.pi0)
         if not 0.0 < pi0 < 1.0:
             raise ValueError(f"pi0 must lie strictly inside (0, 1), got {pi0!r}")
         object.__setattr__(self, "pi0", pi0)
-        mc_draws = int(self.mc_draws)
-        if mc_draws < 1:
-            raise ValueError(f"mc_draws must be >= 1, got {mc_draws}")
-        object.__setattr__(self, "mc_draws", mc_draws)
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
 class ScaleSolution:
-    """Result of the Monte Carlo scale solve: b = c / q_hat with q_hat
-    the empirical pi0-quantile of the unit-scale variance share, plus
-    the quantile-density estimate of b's Monte Carlo standard error."""
+    """Result of the scale solve: b = c / q_hat with q_hat the
+    pi0-quantile of the unit-scale marginal benchmark."""
 
     b: float
-    standard_error: float
     quantile: float
     pi0: float
     c: float
-    mc_draws: int
-    warnings: tuple = ()
 
 
 def solve_scale(spec):
-    """Solve P[b V* <= c] = pi0 for b by simulating the unit-scale
-    variance share V* and inverting its empirical quantile.
+    """Solve P[b V* <= c] = pi0 for b = c / q_hat.
 
-    Deterministic per (seed, mc_draws).  Budgets under 10^4 draws return
-    a warning-carrying result rather than an error."""
+    q_hat is the pi0-quantile of the unit-scale marginal benchmark, whose
+    CDF is one positive integral over the base prior's Beta(p, q) variable:
+
+        F(x) = int_0^1 Beta(w; p, q) P(alpha, alpha x (1-w) / w) dw,
+
+    with P the regularized lower incomplete gamma function and
+    alpha = (n-1)/2.  P steps from 1 to 0 near w = x / (1 + x), the
+    sharper the larger n, so the integral is split there and each piece
+    integrated in log space by tanh-sinh quadrature, which clusters its
+    nodes at the step.  Brent's method solves log F(e^y) = log pi0 in
+    y = log x from a bracket centred on the base prior's pi0-quantile,
+    widened in steps of 8 only as far as the root needs."""
     if not isinstance(spec, ElicitationSpec):
         raise TypeError(f"expected ElicitationSpec, got {type(spec).__name__}")
+    p, q, pi0 = spec.p, spec.q, spec.pi0
     shape = 0.5 * (spec.n - 1)
-    marginal = TwoF0Params(alpha=shape, beta=shape, b=1.0, p=spec.p, q=spec.q)
-    draws = twoF0_sample(marginal, spec.mc_draws, spec.seed)
-    q_hat = float(np.quantile(draws, spec.pi0))
-    if not (math.isfinite(q_hat) and q_hat > 0.0):
-        raise ValueError(f"degenerate empirical quantile {q_hat!r}; cannot solve for b")
-    b = spec.c / q_hat
-    # quantile density estimated on log scale, where the draw
-    # distribution has no heavy tail to inflate the KDE bandwidth
-    log_draws = np.log(draws[draws > 0.0])
-    log_density = float(gaussian_kde(log_draws)(math.log(q_hat))[0])
-    density = log_density / q_hat
-    se_q = math.sqrt(spec.pi0 * (1.0 - spec.pi0) / spec.mc_draws) / density
-    warnings = ()
-    if spec.mc_draws < 10_000:
-        warnings = (
-            f"mc_draws={spec.mc_draws} is below 10000; the Monte Carlo error of b may dominate",
-        )
-    return ScaleSolution(
-        b=b,
-        standard_error=b * se_q / q_hat,
-        quantile=q_hat,
-        pi0=spec.pi0,
-        c=spec.c,
-        mc_draws=spec.mc_draws,
-        warnings=warnings,
-    )
+    log_shape = math.log(shape)
+    offset = log_beta(p, q) + math.log(pi0)
+
+    @functools.cache
+    def gap(y):
+        # split point w* = x / (1 + x) and its complement, in logs
+        log_ws = -float(np.logaddexp(0.0, -y))
+        log_1mws = -float(np.logaddexp(0.0, y))
+
+        def log_f(t, log_t, log_1mt, rows):
+            # row 0 maps t to w = w* t, row 1 to w = w* + (1 - w*) t
+            log_w = np.stack([log_ws + log_t, np.logaddexp(log_ws, log_1mws + log_t)])
+            log_1mw = np.stack([np.logaddexp(log_1mws, log_ws + log_1mt), log_1mws + log_1mt])
+            with np.errstate(over="ignore", divide="ignore"):
+                z = np.exp(log_shape + y + log_1mw - log_w)
+                out = (p - 1.0) * log_w + (q - 1.0) * log_1mw + np.log(gammainc(shape, z))
+            out += np.array([[log_ws], [log_1mws]])  # dw/dt of each row
+            return out if rows is None else out[rows]
+
+        return float(np.logaddexp.reduce(log_tanh_sinh_01(log_f))) - offset
+
+    # 1 - w from the mirrored Beta keeps full precision when w rounds to 1
+    y0 = math.log(betaincinv(p, q, pi0)) - math.log(betaincinv(q, p, 1.0 - pi0))
+    lo, hi = y0 - 8.0, y0 + 8.0
+    for _ in range(16):
+        if gap(lo) > 0.0:
+            lo -= 8.0
+        elif gap(hi) < 0.0:
+            hi += 8.0
+        else:
+            break
+    else:
+        raise ConvergenceError("could not bracket the benchmark quantile", log_bracket=(lo, hi))
+    q_hat = math.exp(brentq(gap, lo, hi, xtol=1e-14))
+    return ScaleSolution(b=spec.c / q_hat, quantile=q_hat, pi0=pi0, c=spec.c)
 
 
 @dataclass(frozen=True)
@@ -199,8 +217,8 @@ class ComponentPrior:
 
 def build_dsd_prior(design, structure, elic):
     """Compose the full pipeline for one component: quadratic-form
-    weights -> two-moment Gamma approximation -> Monte Carlo scale solve
-    -> design-adjusted prior parameters.
+    weights -> two-moment Gamma approximation -> scale solve ->
+    design-adjusted prior parameters.
 
     Improper structures are automatically put under the null-space
     constraint.  The returned ComponentPrior carries the DsdParams plus
@@ -237,12 +255,9 @@ def build_dsd_prior(design, structure, elic):
         "weights_sha256": hashlib.sha256(np.ascontiguousarray(weights.weights).tobytes()).hexdigest(),
         "zero_count": weights.zero_count,
         "constrained": constrained,
-        "seed": elic.seed,
-        "mc_draws": elic.mc_draws,
         "pi0": elic.pi0,
         "c": elic.c,
         "quantile": solution.quantile,
-        "b_standard_error": solution.standard_error,
     }
     return ComponentPrior(
         params=params,
@@ -265,8 +280,7 @@ def variance_share_draws(theta, count, seed, curve=None):
     if curve is None:
         curve = dsd_cdf_quantile(theta)
     rng = np.random.default_rng(seed)
-    u = np.maximum(rng.random(count), 2.0**-53)
-    s = curve._inverse_table(u)
+    s = curve.sample_from(rng.random(count))
     return rng.gamma(theta.alpha_tilde, s / theta.beta_tilde, size=count)
 
 
@@ -349,8 +363,7 @@ def predictor_prior_check(components, mc_draws, seed, chunk_size=16384):
         m = min(chunk_size, mc_draws - done)
         etas = []
         for comp, curve in zip(components, curves):
-            u = np.maximum(rng.random(m), 2.0**-53)
-            s = curve._inverse_table(u)
+            s = curve.sample_from(rng.random(m))
             g = rng.standard_normal((comp.effect_map.shape[1], m))
             eta = comp.effect_map @ g
             eta *= np.sqrt(s)[None, :]

@@ -504,9 +504,12 @@ class DsdCurve:
                 ) ** (-1.0 / self.params.q)
         return out
 
-    def _inverse_table(self, u):
-        # vectorized inverse used by sampling: linear interpolation in
-        # log scale between grid nodes, analytic tails outside
+    def sample_from(self, u):
+        """Map uniforms u in [0, 1) to prior draws: the inverse CDF,
+        vectorized by linear interpolation in log scale between grid
+        nodes, with the analytic power-law tails outside the grid.
+        u = 0 is read as 2^-53, the smallest nonzero uniform."""
+        u = np.maximum(np.atleast_1d(np.asarray(u, dtype=float)), 2.0**-53)
         if self._base is not None:
             return b2_quantile(u, self._base)
         out = self._tail_inverse(u)
@@ -532,8 +535,7 @@ def dsd_sample(theta, count, seed, curve=None):
     if curve is None:
         curve = dsd_cdf_quantile(theta)
     rng = np.random.default_rng(seed)
-    u = np.maximum(rng.random(count), 2.0**-53)
-    return np.atleast_1d(curve._inverse_table(u))
+    return curve.sample_from(rng.random(count))
 
 
 # ---------------------------------------------------------------------------

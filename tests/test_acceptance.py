@@ -47,11 +47,11 @@ class TestSeasonalElicitation:
     def test_logit_and_probit_scales(self):
         # n = 366 daily effects; the two bounds are the logit and probit
         # pseudo-variances of the same binary series. Reference scales
-        # for this configuration: 26.5 and 9.34, reproduced to +-3% at
-        # a million draws in under ten seconds single-threaded.
+        # for this configuration: 26.5 and 9.34, reproduced to +-3% in
+        # under ten seconds single-threaded.
         start = time.perf_counter()
-        logit = solve_scale(ElicitationSpec(n=366, c=5.16, mc_draws=1_000_000, seed=2024))
-        probit = solve_scale(ElicitationSpec(n=366, c=1.82, mc_draws=1_000_000, seed=2024))
+        logit = solve_scale(ElicitationSpec(n=366, c=5.16))
+        probit = solve_scale(ElicitationSpec(n=366, c=1.82))
         elapsed = time.perf_counter() - start
         assert logit.b == pytest.approx(26.5, rel=0.03)
         assert probit.b == pytest.approx(9.34, rel=0.03)
@@ -245,7 +245,7 @@ class TestMarginalEquality:
         # an exchangeable component and a penalized spline, same
         # elicitation: their marginal variance shares must be one law
         n = 40
-        elic = ElicitationSpec(n=n, c=1.3, mc_draws=200_000, seed=17)
+        elic = ElicitationSpec(n=n, c=1.3)
         iid = build_dsd_prior(
             DesignMatrix.identity(n),
             StructureSpec(precision=np.eye(n), rank_deficiency=0, label=f"iid({n})"),
@@ -269,7 +269,7 @@ class TestPredictorVarianceDecomposition:
         n = 40
         rng = np.random.default_rng(19)
         x = rng.normal(0.0, 1.5, size=n)
-        elic = ElicitationSpec(n=n, c=1.0, q=3.0, mc_draws=100_000, seed=9)
+        elic = ElicitationSpec(n=n, c=1.0, q=3.0)
         iid = build_dsd_prior(
             DesignMatrix.identity(n),
             StructureSpec(precision=np.eye(n), rank_deficiency=0, label=f"iid({n})"),

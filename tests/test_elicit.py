@@ -1,12 +1,16 @@
-"""Tests for elicitation: pseudo-variance targets, the Monte Carlo solve
-for the base-prior scale, end-to-end component prior construction, and
-the prior-side linear predictor check."""
+"""Tests for elicitation: pseudo-variance targets, the deterministic
+solve for the base-prior scale, end-to-end component prior construction,
+and the prior-side linear predictor check."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, norm
+from scipy.integrate import quad
+from scipy.special import betaln, gammaincc
+from scipy.stats import ks_2samp
+
+import oracles
 
 from dsdprior.elicit import (
     ComponentPrior,
@@ -69,6 +73,11 @@ class TestPseudoVariance:
         got = pseudo_variance(LikelihoodKind.binomial_logit(ybar))
         assert got == pytest.approx(5.16, rel=1e-12)
 
+    @pytest.mark.parametrize("mean", [0.05, 0.27, 0.5, 0.9])
+    def test_probit_matches_oracle(self, mean):
+        got = pseudo_variance(LikelihoodKind.binomial_probit(mean))
+        assert got == pytest.approx(oracles.probit_pseudo_variance(mean), rel=1e-12)
+
     def test_probit_increases_away_from_half(self):
         mid = pseudo_variance(LikelihoodKind.binomial_probit(0.5))
         edge = pseudo_variance(LikelihoodKind.binomial_probit(0.95))
@@ -79,7 +88,6 @@ class TestElicitationSpec:
     def test_defaults(self):
         spec = ElicitationSpec(n=366, c=5.16)
         assert (spec.p, spec.q, spec.pi0) == (0.5, 1.5, 0.5)
-        assert spec.mc_draws == 1_000_000
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -88,51 +96,84 @@ class TestElicitationSpec:
             ElicitationSpec(n=10, c=0.0)
         with pytest.raises(ValueError):
             ElicitationSpec(n=10, c=1.0, pi0=1.0)
-        with pytest.raises(ValueError):
-            ElicitationSpec(n=10, c=1.0, mc_draws=0)
+        with pytest.raises(ValueError, match="1 \\+ \\(n-1\\)/2"):
+            ElicitationSpec(n=3, c=1.0, p=2.0)
 
 
 class TestSolveScale:
     def test_deterministic(self):
-        spec = ElicitationSpec(n=50, c=2.0, mc_draws=200_000, seed=13)
-        assert solve_scale(spec).b == solve_scale(spec).b
+        spec = ElicitationSpec(n=50, c=2.0)
+        first, second = solve_scale(spec), solve_scale(spec)
+        assert first == second
+        assert first.b.hex() == second.b.hex()
+        assert first.quantile.hex() == second.quantile.hex()
+
+    # 30-digit roots from oracles.benchmark_quantile.  The last three lie
+    # far in the left tail: at large n, where the incomplete gamma factor
+    # is a sharp step, and outside the first +-8 log-scale bracket (n = 2)
+    @pytest.mark.parametrize(
+        "n, pi0, p, q, want",
+        [
+            (2, 0.5, 0.5, 1.5, 0.06034314272692594),
+            (366, 0.5, 0.5, 1.5, 0.19439370338940432),
+            (30, 0.99, 2.5, 0.8, 823.9777619715512),
+            (2400, 0.01, 0.5, 1.5, 6.165153347573258e-05),
+            (2, 0.001, 1.4, 5.0, 2.2766005647314684e-07),
+            (5000, 0.001, 0.5, 1.5, 6.16665693393071e-07),
+        ],
+    )
+    def test_quantile_matches_oracle(self, n, pi0, p, q, want):
+        got = solve_scale(ElicitationSpec(n=n, c=1.0, pi0=pi0, p=p, q=q))
+        assert got.quantile == pytest.approx(want, rel=1e-10)
+        assert got.b == 1.0 / got.quantile
+
+    def test_upper_quantile_past_double_resolution(self):
+        # the base prior's 0.9999-quantile for q = 0.2 has w = 1 in double
+        # precision; check 1 - F at the root independently, by quad over
+        # u = log(w / (1 - w)), integrating the upper tail itself
+        n, pi0, p, q = 2, 0.9999, 0.5, 0.2
+        log_x = math.log(solve_scale(ElicitationSpec(n=n, c=1.0, pi0=pi0, p=p, q=q)).quantile)
+        a = 0.5 * (n - 1)
+
+        def integrand(u):
+            log_density = p * u - (p + q) * np.logaddexp(0.0, u) - betaln(p, q)
+            return math.exp(log_density) * gammaincc(a, a * math.exp(log_x - u))
+
+        cuts = log_x + np.array([-60.0, -20.0, -5.0, 0.0, 5.0, 20.0, 200.0])
+        pieces = [
+            quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+        ]
+        # past the last cut Q = 1 and the density is exp(-q u) / B(p, q)
+        tail = sum(pieces) + math.exp(-q * cuts[-1] - betaln(p, q)) / q
+        assert tail == pytest.approx(1.0 - pi0, rel=1e-9)
 
     def test_linear_in_c(self):
-        a = solve_scale(ElicitationSpec(n=50, c=2.0, mc_draws=100_000, seed=13))
-        b = solve_scale(ElicitationSpec(n=50, c=4.0, mc_draws=100_000, seed=13))
+        a = solve_scale(ElicitationSpec(n=50, c=2.0))
+        b = solve_scale(ElicitationSpec(n=50, c=4.0))
         assert b.b == 2.0 * a.b
 
     def test_logit_bound_reproduces_reference_scale(self):
-        spec = ElicitationSpec(n=366, c=5.16, mc_draws=1_000_000, seed=2024)
+        spec = ElicitationSpec(n=366, c=5.16)
         sol = solve_scale(spec)
         assert abs(sol.b - 26.5) / 26.5 < 0.03
 
     def test_probit_bound_reproduces_reference_scale(self):
-        spec = ElicitationSpec(n=366, c=1.82, mc_draws=1_000_000, seed=2024)
+        spec = ElicitationSpec(n=366, c=1.82)
         sol = solve_scale(spec)
         assert abs(sol.b - 9.34) / 9.34 < 0.03
 
     def test_monotone_in_pi0(self):
         bs = [
-            solve_scale(ElicitationSpec(n=60, c=1.0, pi0=pi0, mc_draws=200_000, seed=5)).b
+            solve_scale(ElicitationSpec(n=60, c=1.0, pi0=pi0)).b
             for pi0 in (0.1, 0.25, 0.5, 0.75)
         ]
         assert all(hi >= lo for hi, lo in zip(bs, bs[1:]))
 
-    def test_small_budget_warns(self):
-        sol = solve_scale(ElicitationSpec(n=20, c=1.0, mc_draws=5_000, seed=1))
-        assert sol.warnings
-        big = solve_scale(ElicitationSpec(n=20, c=1.0, mc_draws=50_000, seed=1))
-        assert not big.warnings
-
-    def test_reports_standard_error(self):
-        sol = solve_scale(ElicitationSpec(n=60, c=1.0, mc_draws=1_000_000, seed=3))
-        assert 0.0 < sol.standard_error < 0.01 * sol.b
-
     def test_propagates_constant_blowup(self):
         # p >= 1 + alpha makes the benchmark marginal non-normalizable
         with pytest.raises(ValueError):
-            solve_scale(ElicitationSpec(n=2, c=1.0, p=2.0, mc_draws=20_000, seed=1))
+            solve_scale(ElicitationSpec(n=2, c=1.0, p=2.0))
 
 
 class TestBuildDsdPrior:
@@ -141,7 +182,7 @@ class TestBuildDsdPrior:
         comp = build_dsd_prior(
             DesignMatrix.identity(n),
             _identity_structure(n),
-            ElicitationSpec(n=n, c=1.5, mc_draws=100_000, seed=7),
+            ElicitationSpec(n=n, c=1.5),
         )
         assert isinstance(comp, ComponentPrior)
         assert comp.params.alpha_tilde == pytest.approx(comp.params.alpha, rel=1e-12)
@@ -156,7 +197,7 @@ class TestBuildDsdPrior:
         comp = build_dsd_prior(
             _fixed_effect(x),
             _identity_structure(1),
-            ElicitationSpec(n=40, c=1.0, mc_draws=100_000, seed=7),
+            ElicitationSpec(n=40, c=1.0),
         )
         # single weight (n-1) s_x^2 gives alpha~ = 1/2 = p, so the prior
         # collapses to the base prior with b divided by the sum of squares
@@ -170,12 +211,12 @@ class TestBuildDsdPrior:
         comp = build_dsd_prior(
             DesignMatrix.identity(n),
             build_rw(order=2, n_g=n, circular=True),
-            ElicitationSpec(n=n, c=5.16, mc_draws=1_000_000, seed=2024),
+            ElicitationSpec(n=n, c=5.16),
         )
         assert abs(comp.params.b - 26.5) / 26.5 < 0.03
         assert comp.params.alpha == (n - 1) / 2.0
         assert comp.effect_map.shape == (n, n - 1)
-        for key in ("weights_sha256", "seed", "mc_draws", "pi0", "c", "b_standard_error"):
+        for key in ("weights_sha256", "pi0", "c"):
             assert key in comp.provenance
 
     def test_rejects_length_mismatch(self):
@@ -183,7 +224,7 @@ class TestBuildDsdPrior:
             build_dsd_prior(
                 DesignMatrix.identity(12),
                 _identity_structure(12),
-                ElicitationSpec(n=10, c=1.0, mc_draws=20_000, seed=1),
+                ElicitationSpec(n=10, c=1.0),
             )
 
     def test_reports_existence_violation(self):
@@ -192,7 +233,7 @@ class TestBuildDsdPrior:
             build_dsd_prior(
                 _fixed_effect(rng.normal(size=30)),
                 _identity_structure(1),
-                ElicitationSpec(n=30, c=1.0, p=1.5, mc_draws=20_000, seed=1),
+                ElicitationSpec(n=30, c=1.0, p=1.5),
             )
 
 
@@ -202,7 +243,7 @@ class TestMarginalEquality:
         # designs but a common elicitation draw exchangeable variance
         # shares under the Gamma approximation
         n = 40
-        elic = ElicitationSpec(n=n, c=1.3, mc_draws=200_000, seed=17)
+        elic = ElicitationSpec(n=n, c=1.3)
         iid = build_dsd_prior(DesignMatrix.identity(n), _identity_structure(n), elic)
         walk = build_dsd_prior(DesignMatrix.identity(n), build_rw(order=2, n_g=n), elic)
         assert iid.params.b == walk.params.b
@@ -214,28 +255,28 @@ class TestMarginalEquality:
 class TestPredictorPriorCheck:
     # q = 3 keeps the per-draw variance share square-integrable so the
     # empirical 3-SE bands mean something
-    def _component(self, n, seed, structure=None):
-        elic = ElicitationSpec(n=n, c=1.0, q=3.0, mc_draws=100_000, seed=seed)
+    def _component(self, n, structure=None):
+        elic = ElicitationSpec(n=n, c=1.0, q=3.0)
         spec = structure if structure is not None else _identity_structure(n)
         return build_dsd_prior(DesignMatrix.identity(n), spec, elic)
 
     def test_single_component_matches_benchmark(self):
-        comp = self._component(40, seed=9)
+        comp = self._component(40)
         report = predictor_prior_check([comp], mc_draws=100_000, seed=31)
         assert report.total_within_band
         assert report.expected_total == pytest.approx(report.benchmark_mean, rel=1e-12)
         assert report.passed
 
     def test_two_components_cross_terms_vanish(self):
-        a = self._component(40, seed=9)
-        b = self._component(40, seed=9)
+        a = self._component(40)
+        b = self._component(40)
         report = predictor_prior_check([a, b], mc_draws=100_000, seed=33)
         assert len(report.cross_terms) == 1
         assert report.crosses_within_band
         assert report.passed
 
     def test_deterministic(self):
-        comp = self._component(30, seed=4)
+        comp = self._component(30)
         r1 = predictor_prior_check([comp], mc_draws=20_000, seed=8)
         r2 = predictor_prior_check([comp], mc_draws=20_000, seed=8)
         assert r1.total_mean == r2.total_mean
@@ -243,18 +284,18 @@ class TestPredictorPriorCheck:
 
     def test_rejects_infinite_mean(self):
         n = 30
-        elic = ElicitationSpec(n=n, c=1.0, q=0.9, mc_draws=50_000, seed=2)
+        elic = ElicitationSpec(n=n, c=1.0, q=0.9)
         comp = build_dsd_prior(DesignMatrix.identity(n), _identity_structure(n), elic)
         with pytest.raises(ValueError, match="q"):
             predictor_prior_check([comp], mc_draws=10_000, seed=3)
 
     def test_rejects_mismatched_benchmarks(self):
-        a = self._component(40, seed=9)
+        a = self._component(40)
         n = 40
         other = build_dsd_prior(
             DesignMatrix.identity(n),
             _identity_structure(n),
-            ElicitationSpec(n=n, c=2.0, q=3.0, mc_draws=100_000, seed=9),
+            ElicitationSpec(n=n, c=2.0, q=3.0),
         )
         with pytest.raises(ValueError):
             predictor_prior_check([a, other], mc_draws=10_000, seed=3)

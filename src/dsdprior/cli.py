@@ -326,8 +326,7 @@ def _cmd_prior(cfg, ctx: _RunContext):
     if points < 2:
         raise ValueError("--grid-points must be at least 2")
     curve = dsd_cdf_quantile(theta)
-    lo = curve.quantile(1e-3)
-    hi = curve.quantile(1.0 - 1e-3)
+    lo, hi = curve.quantile(np.array([1e-3, 1.0 - 1e-3]))
     s = np.exp(np.linspace(math.log(lo), math.log(hi), points))
     ctx.write_csv("prior_grid.csv", ("s", "pdf", "cdf"), (s, dsd_pdf(s, theta), curve.cdf(s)))
     t = np.sqrt(s)

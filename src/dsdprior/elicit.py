@@ -22,7 +22,7 @@ from scipy.special import betaincinv, gammainc, ndtri
 
 from . import __version__
 from ._quad import ConvergenceError, log_tanh_sinh_01
-from .priors import DsdParams, dsd_cdf_quantile
+from .priors import DsdParams, TwoF0Params, dsd_sample, twoF0_sample
 from .qf import gamma_approx
 from .specfun import log_beta
 from .structure import DesignMatrix, StructureSpec, qf_weights, spectral_split
@@ -269,19 +269,13 @@ def build_dsd_prior(design, structure, elic):
     )
 
 
-def variance_share_draws(theta, count, seed, curve=None):
+def variance_share_draws(theta, count, seed):
     """Monte Carlo draws of a component's variance share under the
     two-moment Gamma approximation: scale from the design-adjusted
-    prior, then Gamma(alpha_tilde, rate beta_tilde / scale).  Pass a
-    prebuilt evaluator as ``curve`` to amortize construction."""
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if curve is None:
-        curve = dsd_cdf_quantile(theta)
+    prior, then Gamma(alpha_tilde, rate beta_tilde / scale)."""
     rng = np.random.default_rng(seed)
-    s = curve.sample_from(rng.random(count))
-    return rng.gamma(theta.alpha_tilde, s / theta.beta_tilde, size=count)
+    s = dsd_sample(theta, count, rng)
+    return rng.gamma(theta.alpha_tilde, s / theta.beta_tilde, size=s.size)
 
 
 @dataclass(frozen=True)
@@ -350,7 +344,6 @@ def predictor_prior_check(components, mc_draws, seed, chunk_size=16384):
     if any(comp.effect_map.shape[0] != n for comp in components):
         raise ValueError("components disagree on predictor length")
 
-    curves = [dsd_cdf_quantile(comp.params) for comp in components]
     k = len(components)
     pairs = [(j, l) for j in range(k) for l in range(j + 1, k)]
     per_comp = [[] for _ in range(k)]
@@ -362,8 +355,8 @@ def predictor_prior_check(components, mc_draws, seed, chunk_size=16384):
     while done < mc_draws:
         m = min(chunk_size, mc_draws - done)
         etas = []
-        for comp, curve in zip(components, curves):
-            s = curve.sample_from(rng.random(m))
+        for comp in components:
+            s = dsd_sample(comp.params, m, rng)
             g = rng.standard_normal((comp.effect_map.shape[1], m))
             eta = comp.effect_map @ g
             eta *= np.sqrt(s)[None, :]
@@ -378,9 +371,7 @@ def predictor_prior_check(components, mc_draws, seed, chunk_size=16384):
         done += m
 
     # benchmark mean under the same budget, from the same stream
-    w = rng.beta(ref.p, ref.q, size=mc_draws)
-    sigma2 = ref.b * (w / (1.0 - w))
-    bench = rng.gamma(ref.alpha, sigma2 / ref.beta, size=mc_draws)
+    bench = twoF0_sample(TwoF0Params(ref.alpha, ref.beta, ref.b, ref.p, ref.q), mc_draws, rng)
 
     def mean_se(chunks):
         x = np.concatenate(chunks) if isinstance(chunks, list) else chunks

@@ -12,9 +12,14 @@ Three related families:
   parameter chosen so that the component's approximate variance share,
   mixed over this prior, reproduces the marginal benchmark exactly.
 
-All densities have log variants, the base prior has closed-form
-CDF/quantile/sampling, and the design-adjusted prior gets a monotone
-CDF/quantile evaluator built by integrating its density on a log grid.
+All densities have log variants and the base prior has closed-form
+CDF/quantile/sampling.  The design-adjusted prior's CDF, quantiles and
+draws come from its product form s = b (beta_tilde / beta) W G_alpha / G_q
+with W ~ Beta(p, alpha_tilde - p), G_alpha ~ Gamma(alpha) and
+G_q ~ Gamma(q) independent: one quadrature over W per CDF point, a
+vectorized root solve for quantiles, and composition for draws.  Its
+closed-form 2F1 density is kept for density values and as an independent
+check of that product form.
 """
 
 from __future__ import annotations
@@ -23,12 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 from scipy.special import betainc, betaincinv
 
-from ._quad import ConvergenceError
+from ._quad import ConvergenceError, log_tanh_sinh_01
 from .specfun import log_beta, log_gauss_2f1_negz, log_kummer_u
 
 __all__ = [
@@ -56,10 +58,22 @@ __all__ = [
 # cap rows per special-function call so peak quadrature memory stays bounded
 _BATCH = 2048
 
-# mass allowed outside the evaluator's grid, per tail
-_TAIL_MASS = 1e-10
+# probability left outside the normalization and residual grids, per tail
+_TAIL = 1e-12
+# the normalization grid doubles from 257 points until it agrees with
+# its half grid to 1e-6; wide supports (heavy tails, small p) need more
+_MASS_POINTS = 257
+_MASS_POINTS_MAX = 16385
+_RESIDUAL_POINTS = 4001
 
-_MASS_TOL = 1e-6
+# quantile solve: log s must stay inside the normal doubles; it stops
+# when log s is bracketed to 1e-12 (relative on s) or the log tail
+# probability matches its target to 1e-13
+_LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_HUGE = math.log(np.finfo(float).max)
+_Y_TOL = 1e-12
+_GAP_TOL = 1e-13
+_MAX_STEPS = 100
 
 
 def _positive(name, value):
@@ -197,8 +211,12 @@ def b2_quantile(u, theta):
     arr = np.atleast_1d(np.asarray(u, dtype=float))
     if arr.size == 0 or not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
-    w = betaincinv(theta.p, theta.q, arr)
-    out = theta.b * (w / (1.0 - w))
+    # the smaller of w and 1 - w comes straight from betaincinv (1 - u is
+    # exact for u > 1/2), so w rounding to 1 cannot divide by zero
+    upper = arr > 0.5
+    p, q = np.where(upper, theta.q, theta.p), np.where(upper, theta.p, theta.q)
+    v = betaincinv(p, q, np.where(upper, 1.0 - arr, arr))
+    out = theta.b * (np.where(upper, 1.0 - v, v) / np.where(upper, v, 1.0 - v))
     return _unwrap(out, u)
 
 
@@ -324,218 +342,233 @@ def dsd_pdf(s, theta):
     return _unwrap(out, s)
 
 
-def _origin_exponent(theta):
-    # density ~ s^(e-1) at the origin; the slower of the two branch
-    # exponents wins, and the boundary case reduces to exponent alpha
+def _log_mass(theta, y, upper):
+    """log P(s <= e^y), or log P(s > e^y) on rows where ``upper`` is set,
+    for p < alpha_tilde.
+
+    The prior is the law of s = c W G_a / G_q with c = b beta_tilde / beta,
+    W ~ Beta(p, alpha_tilde - p), G_a ~ Gamma(alpha) and G_q ~ Gamma(q)
+    independent.  Given W = w, s / (c w) is beta-prime(alpha, q), so with
+    r = e^y / c
+
+        P(s <= e^y) = E_W[ I(alpha, q; r / (W + r)) ],
+        P(s >  e^y) = E_W[ I(q, alpha; W / (W + r)) ],
+
+    I the regularized incomplete beta.  Each is a positive integral over
+    w, taken in log space by tanh-sinh quadrature; the upper tail is
+    integrated directly so it keeps its relative precision.  The
+    conditional CDF steps through 1/2 at w* = r m, m the median of
+    G_q / G_alpha.  The integral is split at w_s = min(w*, 1/2): w = w_s t
+    below and log w = (1 - t) log w_s above, so the step sits at unit
+    scale in both pieces however far into the tail e^y lies."""
+    a, q, p, d = theta.alpha, theta.q, theta.p, theta.alpha_tilde - theta.p
+    log_r = y - math.log(theta.b * theta.beta_tilde / theta.beta)
+    log_m = math.log(betaincinv(q, a, 0.5)) - math.log(betaincinv(a, q, 0.5))
+    log_ws = np.minimum(log_r + log_m, -math.log(2.0))
+    # log(w_s / r), formed apart so that log(w / r) near the step is exact
+    shift = np.minimum(log_m, -math.log(2.0) - log_r)
+    # window wide enough that the weaker endpoint power is fully resolved
+    u_max = max(6.5, math.asinh(1100.0 / (math.pi * min(p, d))))
+
+    def integrand(log_w, log_1mw, log_jac, log_wr, up):
+        # I(sa, sb; z) with z = r / (w + r), or w / (w + r) on upper rows.
+        # Where it exceeds 1/2 it is taken as 1 - I(sb, sa; 1 - z): 1 - z
+        # rounded near 0 would cost the step its precision when sb is small
+        log_den = np.logaddexp(0.0, log_wr)
+        z = np.exp(np.where(up[:, None], log_wr, 0.0) - log_den)
+        zc = np.exp(np.where(up[:, None], 0.0, log_wr) - log_den)
+        sa, sb = np.where(up, q, a)[:, None], np.where(up, a, q)[:, None]
+        i = betainc(sa, sb, z)
+        i = np.where(i < 0.5, i, 1.0 - betainc(sb, sa, zc))
+        with np.errstate(divide="ignore"):
+            return (p - 1.0) * log_w + (d - 1.0) * log_1mw + log_jac + np.log(i)
+
+    def below(log_t, log_1mt, lws, sh, up):
+        # w = w_s t; 1 - w = (1 - w_s) + w_s (1 - t)
+        log_w = lws[:, None] + log_t[None, :]
+        log_1mw = np.logaddexp(np.log(-np.expm1(lws))[:, None], lws[:, None] + log_1mt[None, :])
+        return integrand(log_w, log_1mw, lws[:, None], log_t[None, :] + sh[:, None], up)
+
+    def above(log_t, log_1mt, lws, sh, up):
+        # log w = (1 - t) log w_s; ell = log(-log w), and 1 - w = -expm1(log w)
+        neg_lws = -lws[:, None]
+        ell = log_1mt[None, :] + np.log(neg_lws)
+        log_w = -np.exp(ell)
+        with np.errstate(divide="ignore"):
+            log_1mw = np.where(ell < -40.0, ell, np.log(-np.expm1(log_w)))
+        log_wr = np.exp(log_t)[None, :] * neg_lws + sh[:, None]
+        return integrand(log_w, log_1mw, log_w + np.log(neg_lws), log_wr, up)
+
+    def integrate(piece):
+        out = np.empty(y.size)
+        for lo in range(0, y.size, _BATCH):
+            rows = np.arange(lo, min(lo + _BATCH, y.size))
+
+            def log_f(t, log_t, log_1mt, sub, rows=rows):
+                r = rows if sub is None else rows[sub]
+                return piece(log_t, log_1mt, log_ws[r], shift[r], upper[r])
+
+            out[rows] = log_tanh_sinh_01(log_f, u_max=u_max)
+        return out
+
+    return np.logaddexp(integrate(below), integrate(above)) - log_beta(p, d)
+
+
+def _quantile(theta, u):
+    """Quantiles of the design-adjusted prior for u in (0, 1), vectorized.
+
+    Solves in y = log s, lower tail on log F and upper tail (u > 1/2, where
+    1 - u is exact) on log P(s > e^y), by the Illinois method: each step
+    makes one batched quadrature call over the points still open.  The
+    bracket starts at c e^(+-8), c the natural scale, and widens in steps
+    of 8; a quantile outside double range raises ConvergenceError."""
     if theta.p == theta.alpha_tilde:
-        return theta.alpha
-    return min(theta.p, theta.alpha)
+        return np.atleast_1d(b2_quantile(u, _reduced_base(theta)))
+    upper = u > 0.5
+    log_target = np.log(np.where(upper, 1.0 - u, u))
+    sign = np.where(upper, -1.0, 1.0)
 
+    def gap(y, idx):
+        # increasing in y, zero at the quantile
+        return sign[idx] * (_log_mass(theta, y, upper[idx]) - log_target[idx])
 
-def _bracket_support(theta, log_tail_mass, step=2.0, max_steps=400):
-    """Expand a log-scale bracket around the density's peak until the
-    analytic power-law stubs outside it each carry less mass than
-    exp(log_tail_mass).
-
-    The peak is located by a coarse scan first: the natural scale
-    b beta_tilde / beta marks where the hypergeometric factor turns
-    over, but the mode can sit many e-folds away when alpha_tilde
-    differs strongly from alpha.  The stub estimate f(s) s / e (e the
-    tail exponent) is exact in the asymptotic regime and an overestimate
-    before it, so expansion stops late, never early; requiring the
-    density to first fall 10 e-folds below its peak keeps the test from
-    triggering on the wrong side of the mode."""
-    e_left = _origin_exponent(theta)
+    every = np.arange(u.size)
     y0 = math.log(theta.b * theta.beta_tilde / theta.beta)
-    scan = y0 + np.linspace(-60.0, 60.0, 241)
-    log_g = dsd_logpdf(np.exp(scan), theta) + scan
-    k = int(np.argmax(log_g))
-    if k in (0, scan.size - 1):
-        scan = scan + (-120.0 if k == 0 else 120.0)
-        log_g = dsd_logpdf(np.exp(scan), theta) + scan
-        k = int(np.argmax(log_g))
-        if k in (0, scan.size - 1):
+    lo, hi = np.full(u.size, y0 - 8.0), np.full(u.size, y0 + 8.0)
+    g_lo, g_hi = gap(lo, every), gap(hi, every)
+    while True:
+        down, up = np.flatnonzero(g_lo > 0.0), np.flatnonzero(g_hi < 0.0)
+        if down.size == 0 and up.size == 0:
+            break
+        if np.any(lo[down] <= _LOG_TINY) or np.any(hi[up] >= _LOG_HUGE):
             raise ConvergenceError(
-                "could not locate the density peak within 180 e-folds of the natural scale",
-                natural_scale=math.exp(y0),
+                "prior quantile lies outside double range",
+                u=u[np.concatenate([down, up])],
+                log_bracket=(float(lo.min()), float(hi.max())),
             )
-    y_peak = float(scan[k])
-    peak = float(log_g[k])
+        hi[down], g_hi[down] = lo[down], g_lo[down]
+        lo[up], g_lo[up] = hi[up], g_hi[up]
+        lo[down] = np.maximum(lo[down] - 8.0, _LOG_TINY)
+        hi[up] = np.minimum(hi[up] + 8.0, _LOG_HUGE)
+        g_lo[down], g_hi[up] = gap(lo[down], down), gap(hi[up], up)
 
-    def settled(y, exponent):
-        lg = float(dsd_logpdf(math.exp(y), theta)) + y
-        return lg < peak - 10.0 and lg - math.log(exponent) <= log_tail_mass
-
-    bounds = []
-    for direction, exponent in ((-1.0, e_left), (1.0, theta.q)):
-        y = y_peak + direction
-        steps = 0
-        while not settled(y, exponent):
-            y += direction * step
-            steps += 1
-            if steps > max_steps:
-                raise ConvergenceError(
-                    "tail mass did not fall below target while bracketing the support",
-                    side="left" if direction < 0 else "right",
-                    steps=steps,
-                    tail_exponent=exponent,
-                    log_tail_mass=log_tail_mass,
-                )
-        bounds.append(y)
-    return bounds[0], bounds[1], e_left
+    out = np.empty(u.size)
+    kept = np.zeros(u.size)  # endpoint kept by the last step: -1 lo, +1 hi
+    idx = every
+    for _ in range(_MAX_STEPS):
+        a, b, ga, gb = lo[idx], hi[idx], g_lo[idx], g_hi[idx]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            y = b - gb * (b - a) / (gb - ga)
+        y = np.where(np.isfinite(y) & (y > a) & (y < b), y, 0.5 * (a + b))
+        g = gap(y, idx)
+        left, right = g < 0.0, g > 0.0
+        # Illinois: halve the gap of an endpoint kept twice in a row
+        g_lo[idx[right & (kept[idx] == -1)]] *= 0.5
+        g_hi[idx[left & (kept[idx] == 1)]] *= 0.5
+        lo[idx[left]], g_lo[idx[left]] = y[left], g[left]
+        hi[idx[right]], g_hi[idx[right]] = y[right], g[right]
+        kept[idx] = np.where(left, 1, np.where(right, -1, 0))
+        out[idx] = y
+        done = (np.abs(g) <= _GAP_TOL) | (hi[idx] - lo[idx] <= _Y_TOL)
+        idx = idx[~done]
+        if idx.size == 0:
+            return np.exp(out)
+    raise ConvergenceError(
+        "prior quantile solve did not converge", u=u[idx], log_bracket_width=hi[idx] - lo[idx]
+    )
 
 
 class DsdCurve:
-    """Monotone CDF/quantile evaluator for the design-adjusted scale prior.
+    """CDF/quantile evaluator for the design-adjusted scale prior, by its
+    product form s = b (beta_tilde / beta) W G_alpha / G_q.
 
-    The density is integrated once on a uniform log-scale grid that
-    brackets all but ~1e-10 of the mass; outside the grid both tails are
-    carried by their exact power laws.  ``diagnostics`` records the
-    reconstructed total mass (the normalization check) and the grid
-    geometry.  The boundary case p = alpha_tilde uses the closed-form
-    Beta mapping instead of a grid."""
+    The CDF is one tanh-sinh integral over W ~ Beta(p, alpha_tilde - p)
+    per point, and quantiles solve it directly; nothing is tabulated.
+    Construction checks the closed-form density against the product form:
+    the 2F1 density, integrated by the trapezoid rule on a uniform log
+    grid (257 points, doubled while it differs from its half grid by more
+    than 1e-6) between the product form's 1e-12 and 1 - 1e-12 quantiles,
+    plus the 2e-12 outside, must give total mass 1 within 1e-6.
+    ``diagnostics`` records that mass, its error (the difference from the
+    half grid), the grid size and the grid's ends.  The boundary case
+    p = alpha_tilde is the closed-form rescaled base prior."""
 
-    def __init__(self, params, grid_points=8193):
+    def __init__(self, params):
         if not isinstance(params, DsdParams):
             raise TypeError(f"params must be DsdParams, got {type(params).__name__}")
-        grid_points = int(grid_points)
-        if grid_points < 257:
-            raise ValueError(f"grid_points must be >= 257, got {grid_points}")
         self.params = params
         if params.p == params.alpha_tilde:
-            self._base = _reduced_base(params)
             self.diagnostics = {"method": "closed-form", "total_mass": 1.0}
             return
-        self._base = None
-        self._build(grid_points)
-
-    def _build(self, grid_points):
-        t = self.params
-        y_lo, y_hi, e_left = _bracket_support(t, math.log(_TAIL_MASS))
-        attempt_sizes = (grid_points, 2 * grid_points - 1)
-        for n in attempt_sizes:
-            y = np.linspace(y_lo, y_hi, n)
+        s_lo, s_hi = _quantile(params, np.array([_TAIL, 1.0 - _TAIL]))
+        points = _MASS_POINTS
+        while True:
+            y = np.linspace(math.log(s_lo), math.log(s_hi), points)
             # density of ln(s): f(e^y) e^y
-            log_g = dsd_logpdf(np.exp(y), t) + y
-            g = np.exp(log_g)
-            node_cum = cumulative_simpson(g, x=y, initial=0.0)
-            left_mass = math.exp(log_g[0] - math.log(e_left))
-            right_mass = math.exp(log_g[-1] - math.log(t.q))
-            total = left_mass + float(node_cum[-1]) + right_mass
-            if abs(total - 1.0) <= _MASS_TOL:
+            with np.errstate(under="ignore"):
+                g = np.exp(dsd_logpdf(np.exp(y), params) + y)
+            mass = float(np.trapezoid(g, y)) + 2.0 * _TAIL
+            error = abs(mass - float(np.trapezoid(g[::2], y[::2])) - 2.0 * _TAIL)
+            if error <= 1e-6 or points >= _MASS_POINTS_MAX:
                 break
-        else:
-            raise ConvergenceError(
-                "density mass on the bracketed support did not reconstruct to 1",
-                total_mass=total,
-                points=attempt_sizes[-1],
-                bracket=(math.exp(y_lo), math.exp(y_hi)),
-            )
-        self._y = y
-        self._cum = PchipInterpolator(y, node_cum)
-        self._node_probs = (left_mass + node_cum) / total
-        self._left_mass = left_mass
-        self._right_mass = right_mass
-        self._total = total
-        self._e_left = e_left
-        self._s_lo = math.exp(y_lo)
-        self._s_hi = math.exp(y_hi)
+            points = 2 * points - 1
         self.diagnostics = {
-            "method": "grid",
-            "total_mass": total,
-            "points": int(n),
-            "s_lo": self._s_lo,
-            "s_hi": self._s_hi,
-            "left_tail_mass": left_mass / total,
-            "right_tail_mass": right_mass / total,
+            "method": "product-form",
+            "total_mass": mass,
+            "mass_error": error,
+            "points": points,
+            "s_lo": float(s_lo),
+            "s_hi": float(s_hi),
         }
+        if abs(mass - 1.0) > 1e-6:
+            raise ConvergenceError(
+                "density mass between the product-form quantiles is not 1", **self.diagnostics
+            )
 
     def cdf(self, s):
-        """CDF at s > 0; vectorized, nondecreasing, clipped to [0, 1]."""
+        """CDF at s > 0; vectorized, in [0, 1]."""
         arr = _points(s)
-        if self._base is not None:
-            return _unwrap(np.atleast_1d(b2_cdf(arr, self._base)), s)
-        out = np.empty_like(arr)
-        below = arr < self._s_lo
-        above = arr > self._s_hi
-        mid = ~(below | above)
+        if self.params.p == self.params.alpha_tilde:
+            return _unwrap(np.atleast_1d(b2_cdf(arr, _reduced_base(self.params))), s)
         with np.errstate(under="ignore"):
-            if below.any():
-                out[below] = self._left_mass * (arr[below] / self._s_lo) ** self._e_left
-            if above.any():
-                out[above] = self._total - self._right_mass * (self._s_hi / arr[above]) ** self.params.q
-            if mid.any():
-                out[mid] = self._left_mass + self._cum(np.log(arr[mid]))
-        out /= self._total
-        np.clip(out, 0.0, 1.0, out=out)
-        return _unwrap(out, s)
+            out = np.exp(_log_mass(self.params, np.log(arr), np.zeros(arr.size, dtype=bool)))
+        return _unwrap(np.minimum(out, 1.0), s)
 
     def quantile(self, u):
         """Quantile for u strictly inside (0, 1); inverse of `cdf`."""
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         if arr.size == 0 or not np.all((arr > 0.0) & (arr < 1.0)):
             raise ValueError("u must lie strictly inside (0, 1)")
-        if self._base is not None:
-            return _unwrap(np.atleast_1d(b2_quantile(arr, self._base)), u)
-        out = self._tail_inverse(arr)
-        grid_lo, grid_hi = self._node_probs[0], self._node_probs[-1]
-        mid = (arr > grid_lo) & (arr < grid_hi)
-        if mid.any():
-            y_lo, y_hi = self._y[0], self._y[-1]
-            for idx in np.flatnonzero(mid):
-                target = arr[idx] * self._total - self._left_mass
-                root = brentq(lambda yy: float(self._cum(yy)) - target, y_lo, y_hi, xtol=1e-13)
-                out[idx] = math.exp(root)
-        return _unwrap(out, u)
-
-    def _tail_inverse(self, arr):
-        # exact power-law inverses outside the grid; grid interior left at 0
-        out = np.zeros_like(arr)
-        below = arr <= self._node_probs[0]
-        above = arr >= self._node_probs[-1]
-        with np.errstate(under="ignore"):
-            if below.any():
-                out[below] = self._s_lo * (arr[below] * self._total / self._left_mass) ** (
-                    1.0 / self._e_left
-                )
-            if above.any():
-                out[above] = self._s_hi * (
-                    (1.0 - arr[above]) * self._total / self._right_mass
-                ) ** (-1.0 / self.params.q)
-        return out
-
-    def sample_from(self, u):
-        """Map uniforms u in [0, 1) to prior draws: the inverse CDF,
-        vectorized by linear interpolation in log scale between grid
-        nodes, with the analytic power-law tails outside the grid.
-        u = 0 is read as 2^-53, the smallest nonzero uniform."""
-        u = np.maximum(np.atleast_1d(np.asarray(u, dtype=float)), 2.0**-53)
-        if self._base is not None:
-            return b2_quantile(u, self._base)
-        out = self._tail_inverse(u)
-        mid = (u > self._node_probs[0]) & (u < self._node_probs[-1])
-        if mid.any():
-            out[mid] = np.exp(np.interp(u[mid], self._node_probs, self._y))
-        return out
+        return _unwrap(_quantile(self.params, arr), u)
 
 
-def dsd_cdf_quantile(theta, grid_points=8193):
-    """Build the monotone CDF/quantile evaluator for the design-adjusted
-    scale prior.  Raises ConvergenceError when the support cannot be
-    bracketed or the mass does not reconstruct to 1 within 1e-6."""
-    return DsdCurve(theta, grid_points=grid_points)
+def dsd_cdf_quantile(theta):
+    """Build the CDF/quantile evaluator for the design-adjusted scale
+    prior.  Raises ConvergenceError when its quantiles leave double range
+    or the density's mass does not check out to 1 within 1e-6."""
+    return DsdCurve(theta)
 
 
-def dsd_sample(theta, count, seed, curve=None):
-    """Draw ``count`` values by inverse-CDF sampling.  Pass a prebuilt
-    ``curve`` to amortize evaluator construction across calls."""
+def dsd_sample(theta, count, seed):
+    """Draw ``count`` values by composition: s = b (beta_tilde / beta)
+    W G_alpha / G_q with W ~ Beta(p, alpha_tilde - p) (W = 1 when
+    p = alpha_tilde), G_alpha ~ Gamma(alpha) and G_q ~ Gamma(q).  ``seed``
+    goes to numpy.random.default_rng, so a Generator is drawn from in
+    place.  Raises ConvergenceError if a draw is not a positive finite
+    double."""
     count = int(count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if curve is None:
-        curve = dsd_cdf_quantile(theta)
+    t = theta
     rng = np.random.default_rng(seed)
-    return curve.sample_from(rng.random(count))
+    w = 1.0 if t.p == t.alpha_tilde else rng.beta(t.p, t.alpha_tilde - t.p, size=count)
+    with np.errstate(all="ignore"):
+        s = t.b * t.beta_tilde / t.beta * w * rng.gamma(t.alpha, size=count)
+        s /= rng.gamma(t.q, size=count)
+    bad = int(np.count_nonzero(~(np.isfinite(s) & (s > 0.0))))
+    if bad:
+        raise ConvergenceError("prior draws leave double range", bad_draws=bad, count=count)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -552,21 +585,18 @@ class ResidualReport:
     max_rel_error: float
 
 
-def integral_equation_residual(theta, v_grid, grid_points=4001):
+def integral_equation_residual(theta, v_grid):
     """Check the defining property of the design-adjusted prior: mixing
     Gamma(alpha_tilde, rate beta_tilde / s) over the prior on s must give
     back the marginal benchmark, pointwise on ``v_grid``.
 
-    The mixing integral is computed on a uniform log-scale grid wide
-    enough that the truncated tails are negligible; the trapezoid rule is
-    spectrally accurate there because the integrand decays to ~0 at both
-    ends."""
+    The mixing integral is computed on a uniform log-scale grid that runs
+    6 e-folds past the prior's 1e-12 and 1 - 1e-12 quantiles, so the
+    truncated tails are negligible; the trapezoid rule is spectrally
+    accurate there because the integrand decays to ~0 at both ends."""
     v = _points(v_grid, "v_grid")
-    grid_points = int(grid_points)
-    if grid_points < 501:
-        raise ValueError(f"grid_points must be >= 501, got {grid_points}")
-    y_lo, y_hi, _ = _bracket_support(theta, math.log(1e-12))
-    y = np.linspace(y_lo - 6.0, y_hi + 6.0, grid_points)
+    s_lo, s_hi = _quantile(theta, np.array([_TAIL, 1.0 - _TAIL]))
+    y = np.linspace(math.log(s_lo) - 6.0, math.log(s_hi) + 6.0, _RESIDUAL_POINTS)
     log_f = dsd_logpdf(np.exp(y), theta) + y
     at, bt = theta.alpha_tilde, theta.beta_tilde
     log_kernel = (

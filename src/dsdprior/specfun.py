@@ -7,21 +7,18 @@ representations, because no standard double-precision routine covers
 the parameter/argument ranges needed here with controlled relative
 error and log-scale output:
 
-* ``gauss_2f1_negz`` -- Gauss 2F1 restricted to z <= 0 with c > b > 0,
-  through the Euler integral (tanh-sinh quadrature, log-space
+* ``log_gauss_2f1_negz`` -- log of Gauss 2F1 restricted to z <= 0 with
+  c > b > 0, through the Euler integral (tanh-sinh quadrature, log-space
   accumulation), with a positive-term Pfaff-transformed series shortcut
   for small |z|.
-* ``kummer_u`` -- Kummer's U for a > 0, z > 0, through the Laplace
-  integral (exp-sinh quadrature after rescaling t -> tau/z).
+* ``log_kummer_u`` -- log of Kummer's U for a > 0, z > 0, through the
+  Laplace integral (exp-sinh quadrature after rescaling t -> tau/z).
 
-Functions whose magnitude can leave double range return a
-``SpecFunResult`` that switches to log scale instead of overflowing or
-underflowing; ``log_*`` variants return logs directly and are
-vectorized over the argument.
+Both are vectorized over the argument and return logs, so values far
+outside double range stay finite.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -30,9 +27,6 @@ from ._quad import ConvergenceError, log_exp_sinh_0inf, log_tanh_sinh_01
 
 __all__ = [
     "ConvergenceError",
-    "SpecFunResult",
-    "gauss_2f1_negz",
-    "kummer_u",
     "log_beta",
     "log_gamma",
     "log_gauss_2f1_negz",
@@ -40,36 +34,10 @@ __all__ = [
     "reg_inc_gamma_p",
 ]
 
-# |log value| beyond which a plain double can no longer represent the value
-_LOG_DOUBLE_RANGE = 700.0
-
 # series shortcut region and term budget for 2F1
 _SERIES_MAX_ABS_Z = 1.0
 _SERIES_BUDGET = 600
 _SERIES_MAX_PARAM = 400.0
-
-
-@dataclass(frozen=True)
-class SpecFunResult:
-    """A positive special-function value, possibly on log scale.
-
-    ``log_scale`` is True when the value's magnitude falls outside
-    double range; ``value`` then holds the natural logarithm instead.
-    Either way the payload is finite.
-    """
-
-    value: float
-    log_scale: bool
-
-    def log(self):
-        """Natural log of the represented value."""
-        return self.value if self.log_scale else math.log(self.value)
-
-
-def _pack(log_value):
-    if abs(log_value) <= _LOG_DOUBLE_RANGE:
-        return SpecFunResult(value=math.exp(log_value), log_scale=False)
-    return SpecFunResult(value=float(log_value), log_scale=True)
 
 
 def _require(cond, msg):
@@ -107,12 +75,12 @@ def reg_inc_gamma_p(a, x):
 # ----------------------------------------------------------------------
 
 def _validate_2f1_params(a, b, c):
-    _require(math.isfinite(a) and a > 0.0, f"gauss_2f1_negz requires finite a > 0, got {a!r}")
-    _require(math.isfinite(b) and b > 0.0, f"gauss_2f1_negz requires finite b > 0, got {b!r}")
-    _require(math.isfinite(c), f"gauss_2f1_negz requires finite c, got {c!r}")
+    _require(math.isfinite(a) and a > 0.0, f"log_gauss_2f1_negz requires finite a > 0, got {a!r}")
+    _require(math.isfinite(b) and b > 0.0, f"log_gauss_2f1_negz requires finite b > 0, got {b!r}")
+    _require(math.isfinite(c), f"log_gauss_2f1_negz requires finite c, got {c!r}")
     _require(
         c > b,
-        f"gauss_2f1_negz requires c > b for the Euler integral; got b={b!r}, c={c!r}",
+        f"log_gauss_2f1_negz requires c > b for the Euler integral; got b={b!r}, c={c!r}",
     )
 
 
@@ -164,8 +132,8 @@ def log_gauss_2f1_negz(a, b, c, z):
     c = float(c)
     _validate_2f1_params(a, b, c)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    _require(np.all(np.isfinite(z)), "gauss_2f1_negz requires finite z")
-    _require(np.all(z <= 0.0), f"gauss_2f1_negz is restricted to z <= 0, got max {z.max()!r}")
+    _require(np.all(np.isfinite(z)), "log_gauss_2f1_negz requires finite z")
+    _require(np.all(z <= 0.0), f"log_gauss_2f1_negz is restricted to z <= 0, got max {z.max()!r}")
 
     out = np.zeros(z.shape, dtype=float)
     todo = z < 0.0  # z == 0 -> log 1 = 0 directly
@@ -178,13 +146,6 @@ def log_gauss_2f1_negz(a, b, c, z):
     if np.any(todo):
         out[todo] = _log_2f1_quadrature(a, b, c, z[todo])
     return out
-
-
-def gauss_2f1_negz(a, b, c, z):
-    """2F1(a,b;c;z) for scalar z <= 0, c > b > 0; bounded in (0, 1]."""
-    z = float(z)
-    log_val = log_gauss_2f1_negz(a, b, c, np.array([z]))[0]
-    return _pack(log_val)
 
 
 # ----------------------------------------------------------------------
@@ -203,10 +164,10 @@ def log_kummer_u(a, b, z):
     """
     a = float(a)
     b = float(b)
-    _require(math.isfinite(a) and a > 0.0, f"kummer_u requires finite a > 0, got {a!r}")
-    _require(math.isfinite(b), f"kummer_u requires finite b, got {b!r}")
+    _require(math.isfinite(a) and a > 0.0, f"log_kummer_u requires finite a > 0, got {a!r}")
+    _require(math.isfinite(b), f"log_kummer_u requires finite b, got {b!r}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    _require(np.all(np.isfinite(z)) and np.all(z > 0.0), "kummer_u requires finite z > 0")
+    _require(np.all(np.isfinite(z)) and np.all(z > 0.0), "log_kummer_u requires finite z > 0")
 
     log_z = np.log(z)
     d = b - a - 1.0
@@ -221,10 +182,3 @@ def log_kummer_u(a, b, z):
     u_lo = -max(6.75, math.asinh(800.0 / (math.pi * a)))
     log_i = log_exp_sinh_0inf(integrand, u_lo=u_lo, u_hi=4.5)
     return log_i + a * log_a - math.lgamma(a) - a * log_z
-
-
-def kummer_u(a, b, z):
-    """U(a, b, z) for scalar z > 0, a > 0; log scale engages on overflow."""
-    z = float(z)
-    log_val = log_kummer_u(a, b, np.array([z]))[0]
-    return _pack(log_val)

@@ -27,16 +27,8 @@ def gammainc_p(a, x):
     return float(mp.gammainc(a, 0, x, regularized=True))
 
 
-def hyp2f1(a, b, c, z):
-    return float(mp.hyp2f1(mp.mpf(a), mp.mpf(b), mp.mpf(c), mp.mpf(z)))
-
-
 def log_hyp2f1(a, b, c, z):
     return float(mp.log(mp.hyp2f1(mp.mpf(a), mp.mpf(b), mp.mpf(c), mp.mpf(z))))
-
-
-def hyperu(a, b, z):
-    return float(mp.hyperu(mp.mpf(a), mp.mpf(b), mp.mpf(z)))
 
 
 def log_hyperu(a, b, z):

@@ -10,7 +10,8 @@ import scipy.integrate
 import scipy.interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betaincinv
+from scipy.optimize import brentq
+from scipy.special import beta, betainc, betaincinv
 
 import oracles
 from dsdprior._quad import ConvergenceError
@@ -60,10 +61,39 @@ BATTERY = [
 ]
 
 
+# origin exponent so small that the prior's lower quantiles and draws
+# fall below double range
+UNREPRESENTABLE = DsdParams(
+    alpha=24.5, beta=24.5, alpha_tilde=1.43, beta_tilde=0.061, b=1.0, p=1e-7, q=1.5
+)
+
+
 def _ks_statistic(sorted_draws, cdf_probs):
     n = sorted_draws.size
     k = np.arange(1, n + 1)
     return max(np.max(k / n - cdf_probs), np.max(cdf_probs - (k - 1) / n))
+
+
+def _upper_quantile_reference(k, theta):
+    """The (1 - 2^-k)-quantile of the design-adjusted prior, by scipy
+    alone: its survival function through the product form,
+    P(s > x) = E_W[ I(q, alpha; W / (W + r)) ] with W ~ Beta(p, alpha~ - p)
+    and r = x beta / (b beta~), by ``quad`` with an algebraic weight, then
+    ``brentq`` in log x."""
+    t = theta
+    d = t.alpha_tilde - t.p
+    y0 = math.log(t.b * t.beta_tilde / t.beta)
+
+    def log_sf(y):
+        r = math.exp(y - y0)
+        total, _ = scipy.integrate.quad(
+            lambda w: betainc(t.q, t.alpha, w / (w + r)), 0.0, 1.0,
+            weight="alg", wvar=(t.p - 1.0, d - 1.0), epsabs=0.0, epsrel=1e-12, limit=400,
+        )
+        return math.log(total / beta(t.p, d))
+
+    root = brentq(lambda y: log_sf(y) + k * math.log(2.0), y0 - 60.0, y0 + 60.0, xtol=1e-13)
+    return math.exp(root)
 
 
 class TestB2Params:
@@ -128,6 +158,13 @@ class TestB2CdfQuantile:
 
     def test_median_of_unit_case(self):
         assert b2_quantile(0.5, B2Params(1.0, 1.0, 1.0)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_upper_quantile_where_w_rounds_to_one(self):
+        # betaincinv(0.5, 0.2, 0.9999) rounds to 1; 1 - w must come from
+        # the mirrored Beta instead
+        s = b2_quantile(0.9999, B2Params(1.0, 0.5, 0.2))
+        assert math.isfinite(s)
+        assert float(oracles.b2_cdf(s, 1.0, 0.5, 0.2)) == pytest.approx(0.9999, abs=1e-12)
 
 
 class TestB2Sample:
@@ -361,12 +398,17 @@ class TestDsdCdfQuantile:
         assert float(mass) == pytest.approx(0.5, abs=1e-5)
 
     def test_unbuildable_support_raises(self):
-        # a vanishing origin exponent makes the left tail mass impossible
-        # to bracket; the builder must fail loudly with diagnostics
-        theta = DsdParams(alpha=24.5, beta=24.5, alpha_tilde=1.43, beta_tilde=0.061,
-                          b=1.0, p=1e-7, q=1.5)
+        # a vanishing origin exponent puts the lower tail out of reach of
+        # double precision; the builder must fail loudly with diagnostics
         with pytest.raises(ConvergenceError):
-            dsd_cdf_quantile(theta)
+            dsd_cdf_quantile(UNREPRESENTABLE)
+
+    @pytest.mark.parametrize("theta", [GENERIC, BATTERY[4]], ids=["generic", "alpha1017"])
+    def test_upper_tail_quantiles_against_survival_reference(self, theta):
+        curve = dsd_cdf_quantile(theta)
+        for k in (20, 30, 40):
+            got = curve.quantile(1.0 - 2.0**-k)
+            assert got == pytest.approx(_upper_quantile_reference(k, theta), rel=1e-8), k
 
 
 class TestDsdSample:
@@ -376,9 +418,18 @@ class TestDsdSample:
         )
 
     def test_ks_against_cdf(self):
-        curve = dsd_cdf_quantile(GENERIC)
+        # empirical CDF at the quantiles q_k of u_k = k/1000: between two
+        # of them both CDFs move by at most 1/1000, so the largest gap
+        # plus 1/1000 bounds the KS statistic from above
+        u = np.arange(1, 1000) / 1000.0
+        q = dsd_cdf_quantile(GENERIC).quantile(u)
         draws = np.sort(dsd_sample(GENERIC, 1_000_000, seed=29))
-        assert _ks_statistic(draws, curve.cdf(draws)) < 0.005
+        ecdf = np.searchsorted(draws, q, side="right") / draws.size
+        assert np.max(np.abs(ecdf - u)) + 1.0 / 1000.0 < 0.005
+
+    def test_unrepresentable_draws_raise(self):
+        with pytest.raises(ConvergenceError):
+            dsd_sample(UNREPRESENTABLE, 1000, seed=1)
 
     def test_reduction_cases_sample_base_prior(self):
         # in both reduction regimes the draws must follow the exact

@@ -444,6 +444,13 @@ def _cmd_verify(cfg, ctx: _RunContext):
     exact = gammainc(0.5, q_grid / (2.0 * 2.0))
     record("weighted-chi2[single]", np.abs(ruben_cdf(q_grid, single) - exact).max(), 1e-10)
 
+    # unequal weights take the series; paired weights give a closed form,
+    # Q = chi2_2 + 3 chi2_2 with F(q) = 1 - 1.5 e^(-q/6) + 0.5 e^(-q/2)
+    pairs = QfWeights(weights=np.array([1.0, 1.0, 3.0, 3.0]), n_predictor=10, zero_count=1)
+    q_grid = np.linspace(0.05, 60.0, 200)
+    exact = 1.0 - 1.5 * np.exp(-q_grid / 6.0) + 0.5 * np.exp(-q_grid / 2.0)
+    record("weighted-chi2[pairs]", np.abs(ruben_cdf(q_grid, pairs) - exact).max(), 1e-10)
+
     weights = QfWeights(weights=np.array([1.0, 2.0, 3.0]), n_predictor=4, zero_count=1)
     v = np.sort(sample_v(weights, sigma2=1.0, count=mc_draws, seed=seed + 1))
     probs = ruben_cdf(v * (weights.n_predictor - 1), weights)

@@ -43,6 +43,9 @@ __all__ = [
 
 _LIKELIHOOD_KINDS = ("gaussian", "binomial_logit", "binomial_probit", "user_supplied")
 
+# draws simulated per pass of predictor_prior_check; bounds its memory
+_CHECK_CHUNK = 16384
+
 
 @dataclass(frozen=True)
 class LikelihoodKind:
@@ -312,7 +315,7 @@ class PredictorCheckReport:
         return self.total_within_band and self.crosses_within_band
 
 
-def predictor_prior_check(components, mc_draws, seed, chunk_size=16384):
+def predictor_prior_check(components, mc_draws, seed):
     """Verify, by simulation, that independent components under their
     design-adjusted priors add up: E[V_eta] = k x E[benchmark share]
     with every pairwise cross term centered at zero.
@@ -321,16 +324,13 @@ def predictor_prior_check(components, mc_draws, seed, chunk_size=16384):
     component's effect map, scaled by a prior draw), so the check
     exercises the full chain rather than the Gamma approximation.  Every
     component needs q > 1, else the prior mean is infinite.  Results
-    depend only on (seed, mc_draws, chunk_size)."""
+    depend only on (seed, mc_draws)."""
     components = list(components)
     if not components:
         raise ValueError("need at least one component")
     mc_draws = int(mc_draws)
     if mc_draws < 2:
         raise ValueError(f"mc_draws must be >= 2, got {mc_draws}")
-    chunk_size = int(chunk_size)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     ref = components[0].params
     for comp in components:
         t = comp.params
@@ -353,7 +353,7 @@ def predictor_prior_check(components, mc_draws, seed, chunk_size=16384):
     denom = n - 1.0
     done = 0
     while done < mc_draws:
-        m = min(chunk_size, mc_draws - done)
+        m = min(_CHECK_CHUNK, mc_draws - done)
         etas = []
         for comp in components:
             s = dsd_sample(comp.params, m, rng)

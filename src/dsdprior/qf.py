@@ -7,10 +7,14 @@ V = nu' M nu / (n - 1) satisfies
     (n - 1) V / sigma2  =  Q  =  sum_k  lambda_k chi2_1,
 
 with lambda the quadratic-form weights from the structure module. This
-module provides the exact density and CDF of Q (an infinite Gamma
-mixture evaluated by a stable two-term-recurrence series), the
+module provides the exact CDF of Q (Ruben's Gamma-mixture series), the
 two-moment Gamma approximation of V that the closed-form priors build
 on, exact conditional moments, and seeded simulation of V.
+
+The series converges at the rate 1 - rho/lambda_max with rho near
+2 lambda_min, so it raises ConvergenceError when lambda_max/lambda_min
+is large, as on the crw2(366) spectrum; simulation is the way to the
+law of Q there.
 """
 
 from __future__ import annotations
@@ -27,11 +31,9 @@ from .structure import QfWeights
 __all__ = [
     "ConvergenceError",
     "GammaApprox",
-    "RubenConfig",
     "gamma_approx",
     "qf_moments",
     "ruben_cdf",
-    "ruben_pdf",
     "sample_v",
 ]
 
@@ -55,25 +57,6 @@ class GammaApprox:
         )
         if not ok:
             raise ValueError("need alpha_tilde >= 1/2 and beta_tilde > 0, both finite")
-
-
-@dataclass(frozen=True)
-class RubenConfig:
-    """Series controls: rho is the common scale of the Gamma mixture
-    terms (None derives a default from the weights), max_terms caps the
-    expansion, tail_tol is the truncation tolerance."""
-
-    rho: float | None = None
-    max_terms: int = 10000
-    tail_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.rho is not None and not (np.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError("rho must be positive and finite")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-        if not 0.0 <= self.tail_tol < 1.0:
-            raise ValueError("tail_tol must lie in [0, 1)")
 
 
 def gamma_approx(w: QfWeights) -> GammaApprox:
@@ -101,171 +84,77 @@ def qf_moments(w: QfWeights, sigma2: float) -> tuple[float, float]:
     return mean, variance
 
 
-def _default_rho(lam: np.ndarray) -> float:
-    # harmonic mean of the extreme weights: always inside (0, 2*min),
-    # balancing the geometric decay rates across the spectrum
+_MAX_TERMS = 10000
+_TAIL_TOL = 1e-12
+
+
+def _series_cdf(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Ruben's expansion P(Q <= q) = sum_k c_k P(r/2 + k, q / (2 rho))
+    over the r ascending weights lam, with
+
+        c_0 = prod_i (rho / lambda_i)^(1/2),  g_k = sum_i (1 - rho / lambda_i)^k,
+        c_k = (2k)^(-1) sum_{l<k} g_{k-l} c_l.
+
+    rho, the harmonic mean of the extreme weights, lies in (lambda_min,
+    2 lambda_min), so the series converges at the rate 1 - rho/lambda_max
+    but the c_k change sign. Each point therefore stops on its own, after
+    two consecutive terms below _TAIL_TOL of its running sum, and a batch
+    entry reproduces a scalar call bit for bit."""
     lo, hi = float(lam[0]), float(lam[-1])
-    return 2.0 * lo * hi / (lo + hi)
-
-
-def _check_rho(lam: np.ndarray, rho: float) -> None:
-    # series converges iff every |1 - rho/lambda_i| < 1
-    if not rho < 2.0 * float(lam[0]):
-        raise ValueError(
-            f"rho = {rho} violates the convergence condition "
-            f"rho < 2 * min(weights) = {2.0 * float(lam[0])}"
-        )
-
-
-class _CoeffStream:
-    """Mixture coefficients c_k of the Gamma-series expansion of Q,
-    generated on demand:
-
-        c_0 = prod_i (rho / lambda_i)^(1/2)
-        g_k = sum_i (1 - rho / lambda_i)^k
-        c_k = (2k)^(-1) sum_{l<k} g_{k-l} c_l
-
-    The coefficients always sum to one; they are all nonnegative (a
-    probability mixture) exactly when rho <= min(weights).
-    """
-
-    def __init__(self, lam: np.ndarray, rho: float, capacity: int):
-        self._a = 1.0 - rho / lam
-        self._apow = self._a.copy()
-        self._g = np.empty(capacity + 1)
-        self.c = np.empty(capacity + 1)
-        self.c[0] = math.exp(0.5 * float(np.sum(np.log(rho / lam))))
-        self._have = 1
-
-    def coeff(self, k: int) -> float:
-        while self._have <= k:
-            j = self._have  # computing c_j; g slots 1..j filled on the way
-            self._g[j] = float(np.sum(self._apow))
-            self._apow = self._apow * self._a
-            conv = self._g[j:0:-1]  # [g_j, g_{j-1}, ..., g_1]
-            self.c[j] = float(np.dot(conv, self.c[:j])) / (2.0 * j)
-            self._have += 1
-        return float(self.c[k])
-
-
-def _ruben_coefficients(lam: np.ndarray, rho: float, n_terms: int) -> np.ndarray:
-    lam = np.sort(np.asarray(lam, dtype=float))
-    _check_rho(lam, rho)
-    stream = _CoeffStream(lam, rho, n_terms)
-    stream.coeff(n_terms - 1)
-    return stream.c[:n_terms].copy()
-
-
-def _series(q: np.ndarray, lam: np.ndarray, cfg: RubenConfig, cdf: bool) -> np.ndarray:
-    rho = cfg.rho if cfg.rho is not None else _default_rho(lam)
-    _check_rho(lam, rho)
-    mixture = rho <= float(lam[0])  # all coefficients nonnegative
-    r = lam.size
-    shape0 = r / 2.0
+    rho = 2.0 * lo * hi / (lo + hi)
+    shape0 = lam.size / 2.0
     z = q / (2.0 * rho)
-    log_z = np.log(z)
-
-    if cdf:
-        term = gammainc(shape0, z)
-        # per-term decrement: P(s+1, z) = P(s, z) - z^s e^{-z} / Gamma(s+1)
-        dec = np.exp(shape0 * log_z - z - math.lgamma(shape0 + 1.0))
-    else:
-        term = np.exp((shape0 - 1.0) * np.log(q) - z - shape0 * math.log(2.0 * rho)
-                      - math.lgamma(shape0))
-
-    stream = _CoeffStream(lam, rho, cfg.max_terms)
+    term = gammainc(shape0, z)
+    # per-term decrement: P(s+1, z) = P(s, z) - z^s e^{-z} / Gamma(s+1)
+    dec = np.exp(shape0 * np.log(z) - z - math.lgamma(shape0 + 1.0))
+    a = 1.0 - rho / lam
+    apow = a.copy()
+    g = np.empty(_MAX_TERMS)
+    c = np.empty(_MAX_TERMS)
+    c[0] = math.exp(0.5 * float(np.sum(np.log(rho / lam))))
     out = np.zeros_like(q)
     settled = np.zeros(q.shape, dtype=bool)
     tiny_run = np.zeros(q.shape, dtype=np.int8)
-    csum = 0.0
-    used = 0
-
-    for k in range(cfg.max_terms):
-        ck = stream.coeff(k)
-        contrib = ck * term
-        live = ~settled
-        out[live] += contrib[live]
-        csum += ck
-        used = k + 1
-
-        if mixture:
-            if 1.0 - csum < cfg.tail_tol:
-                settled[:] = True
-                break
-        else:
-            # per-point stop: two consecutive terms below tail_tol of the
-            # running sum (settled points stop accumulating, so a batch
-            # entry reproduces a scalar call bit for bit)
-            tiny = np.abs(contrib) <= cfg.tail_tol * np.abs(out)
-            tiny_run = np.where(tiny, tiny_run + 1, 0).astype(np.int8)
-            settled |= tiny_run >= 2
-            if np.all(settled):
-                break
-
-        s_k = shape0 + k
-        if cdf:
-            term = np.maximum(term - dec, 0.0)
-            dec = dec * z / (s_k + 1.0)
-        else:
-            term = term * z / s_k
-
-    if not np.all(settled):
-        raise ConvergenceError(
-            "series did not converge; raise max_terms or adjust rho",
-            terms=used,
-            tail=float(1.0 - csum),
-            unsettled_points=int(np.sum(~settled)),
-            rho=rho,
-        )
-    return out
+    for k in range(_MAX_TERMS):
+        if k:
+            g[k] = float(np.sum(apow))
+            apow = apow * a
+            c[k] = float(np.dot(g[k:0:-1], c[:k])) / (2.0 * k)
+        contrib = c[k] * term
+        out[~settled] += contrib[~settled]
+        tiny = np.abs(contrib) <= _TAIL_TOL * np.abs(out)
+        tiny_run = np.where(tiny, tiny_run + 1, 0).astype(np.int8)
+        settled |= tiny_run >= 2
+        if np.all(settled):
+            return out
+        term = np.maximum(term - dec, 0.0)
+        dec = dec * z / (shape0 + k + 1.0)
+    raise ConvergenceError(
+        "series did not converge: the weights spread too widely",
+        terms=_MAX_TERMS,
+        tail=float(1.0 - np.sum(c)),
+        unsettled_points=int(np.sum(~settled)),
+        rho=rho,
+    )
 
 
-def _eval_series(q, w: QfWeights, cfg: RubenConfig | None, cdf: bool):
-    if cfg is None:
-        cfg = RubenConfig()
+def ruben_cdf(q, w: QfWeights):
+    """P(Q <= q) at q > 0 (scalar or vector), by Ruben's Gamma-mixture
+    series; one weight, or all weights equal, takes the exact scaled
+    chi-square. Nondecreasing in q; clipped to [0, 1] against truncation
+    residue. Raises ConvergenceError when the series needs more than
+    _MAX_TERMS terms, as it does once lambda_max/lambda_min is large."""
     lam = w.weights
     if lam.size == 0:
         raise ValueError("no positive weights")
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
     if not np.all(np.isfinite(q_arr)) or np.any(q_arr <= 0.0):
         raise ValueError("evaluation points must be positive and finite")
-    if cfg.rho is not None:
-        _check_rho(lam, cfg.rho)
-
     if lam.size == 1 or np.all(lam == lam[0]):
-        # exact closed forms: lambda * chi2_1, or chi2_r scaled by lambda
-        lam0 = float(lam[0])
-        s = lam.size / 2.0
-        if cdf:
-            out = gammainc(s, q_arr / (2.0 * lam0))
-        else:
-            out = np.exp((s - 1.0) * np.log(q_arr) - q_arr / (2.0 * lam0)
-                         - s * math.log(2.0 * lam0) - math.lgamma(s))
+        out = gammainc(lam.size / 2.0, q_arr / (2.0 * float(lam[0])))
     else:
-        out = _series(q_arr, lam, cfg, cdf)
-        if cdf:
-            out = np.clip(out, 0.0, 1.0)
-
-    if np.isscalar(q) or (isinstance(q, np.ndarray) and q.ndim == 0):
-        return float(out[0])
-    return out
-
-
-def ruben_pdf(q, w: QfWeights, cfg: RubenConfig | None = None):
-    """Density of Q = sum_k lambda_k chi2_1 at q > 0 (scalar or vector).
-
-    Evaluated as sum_k c_k GammaDensity(q; r/2 + k, scale 2 rho) with the
-    coefficients of _CoeffStream; the caller rescales by (n-1)/sigma2
-    when a density for V is wanted. Degenerate spectra (one weight, or
-    all equal) short-circuit to the exact chi-square forms.
-    """
-    return _eval_series(q, w, cfg, cdf=False)
-
-
-def ruben_cdf(q, w: QfWeights, cfg: RubenConfig | None = None):
-    """P(Q <= q), by term-wise integration of the same Gamma series.
-    Nondecreasing in q; clipped to [0, 1] against truncation residue."""
-    return _eval_series(q, w, cfg, cdf=True)
+        out = np.clip(_series_cdf(q_arr, lam), 0.0, 1.0)
+    return float(out[0]) if np.ndim(q) == 0 else out
 
 
 def sample_v(w: QfWeights, sigma2: float, count: int, seed: int) -> np.ndarray:

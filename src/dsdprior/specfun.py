@@ -1,11 +1,10 @@
 """Numerically robust scalar special functions.
 
-Log-gamma, log-beta and the regularized incomplete gamma are thin
-wrappers over well-tested library kernels.  The two hypergeometric
-functions are evaluated from scratch through real integral
-representations, because no standard double-precision routine covers
-the parameter/argument ranges needed here with controlled relative
-error and log-scale output:
+Log-beta is a checked wrapper over scipy's kernel.  The two
+hypergeometric functions are evaluated from scratch through real
+integral representations, because no standard double-precision routine
+covers the parameter/argument ranges needed here with controlled
+relative error and log-scale output:
 
 * ``log_gauss_2f1_negz`` -- log of Gauss 2F1 restricted to z <= 0 with
   c > b > 0, through the Euler integral (tanh-sinh quadrature, log-space
@@ -28,10 +27,8 @@ from ._quad import ConvergenceError, log_exp_sinh_0inf, log_tanh_sinh_01
 __all__ = [
     "ConvergenceError",
     "log_beta",
-    "log_gamma",
     "log_gauss_2f1_negz",
     "log_kummer_u",
-    "reg_inc_gamma_p",
 ]
 
 # series shortcut region and term budget for 2F1
@@ -45,13 +42,6 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
-def log_gamma(x):
-    """ln Gamma(x) for x > 0.  Relative error ~1e-15 across [1e-6, 1e6]."""
-    x = float(x)
-    _require(math.isfinite(x) and x > 0.0, f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def log_beta(a, b):
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), for a, b > 0."""
     a = float(a)
@@ -59,15 +49,6 @@ def log_beta(a, b):
     _require(math.isfinite(a) and a > 0.0, f"log_beta requires finite a > 0, got {a!r}")
     _require(math.isfinite(b) and b > 0.0, f"log_beta requires finite b > 0, got {b!r}")
     return float(_sp.betaln(a, b))
-
-
-def reg_inc_gamma_p(a, x):
-    """Regularized lower incomplete gamma P(a, x) in [0, 1]."""
-    a = float(a)
-    x = float(x)
-    _require(math.isfinite(a) and a > 0.0, f"reg_inc_gamma_p requires finite a > 0, got {a!r}")
-    _require(math.isfinite(x) and x >= 0.0, f"reg_inc_gamma_p requires finite x >= 0, got {x!r}")
-    return float(_sp.gammainc(a, x))
 
 
 # ----------------------------------------------------------------------

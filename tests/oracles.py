@@ -12,19 +12,8 @@ import mpmath as mp
 mp.mp.dps = 50
 
 
-def loggamma(x):
-    return float(mp.loggamma(mp.mpf(x)))
-
-
 def logbeta(a, b):
     return float(mp.log(mp.beta(mp.mpf(a), mp.mpf(b))))
-
-
-def gammainc_p(a, x):
-    # regularized lower incomplete gamma P(a, x)
-    a = mp.mpf(a)
-    x = mp.mpf(x)
-    return float(mp.gammainc(a, 0, x, regularized=True))
 
 
 def log_hyp2f1(a, b, c, z):
@@ -103,19 +92,6 @@ def qf_cdf(x, weights):
         return mp.sin(theta) / (u * rho)
 
     return mp.mpf("0.5") - mp.quadosc(f, [0, mp.inf], period=4 * mp.pi / x) / mp.pi
-
-
-def qf_pdf(x, weights):
-    """Density of sum_i w_i chi2_1, same inversion route as qf_cdf."""
-    lam = [mp.mpf(w) for w in weights]
-    x = mp.mpf(x)
-
-    def f(u):
-        theta = mp.fsum(mp.atan(l * u) for l in lam) / 2 - x * u / 2
-        rho = mp.fprod((1 + (l * u) ** 2) ** mp.mpf("0.25") for l in lam)
-        return mp.cos(theta) / rho
-
-    return mp.quadosc(f, [0, mp.inf], period=4 * mp.pi / x) / (2 * mp.pi)
 
 
 def benchmark_quantile(n, pi0, p, q, x_start, dps=30):

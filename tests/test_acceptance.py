@@ -32,7 +32,7 @@ from dsdprior.priors import (
     twoF0_pdf,
     twoF0_sample,
 )
-from dsdprior.qf import gamma_approx, qf_moments, ruben_cdf, ruben_pdf, sample_v
+from dsdprior.qf import gamma_approx, qf_moments, ruben_cdf, sample_v
 from dsdprior.structure import (
     DesignMatrix,
     QfWeights,
@@ -131,7 +131,7 @@ class TestWeightedChiSquareSeries:
         lam = 2.7
         w = QfWeights(weights=np.array([lam]), n_predictor=6, zero_count=1)
         q = np.linspace(0.05, 30.0, 120)
-        np.testing.assert_allclose(ruben_pdf(q, w), chi2.pdf(q / lam, df=1) / lam, rtol=1e-10)
+        np.testing.assert_allclose(ruben_cdf(q, w), chi2.cdf(q / lam, df=1), rtol=1e-10)
 
     def test_three_weight_cdf_against_monte_carlo(self):
         w = QfWeights(weights=np.array([1.0, 2.0, 3.0]), n_predictor=4, zero_count=1)

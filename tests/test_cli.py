@@ -312,7 +312,12 @@ class TestVerifyCommand:
         assert any("reduction" in name for name in names)
         assert any("residual" in name for name in names)
         assert any("weighted-chi2" in name for name in names)
-        assert {"residual[pspline-m5]", "residual[pspline-m20]", "scale-solve[mc]"} <= names
+        assert {
+            "residual[pspline-m5]",
+            "residual[pspline-m20]",
+            "scale-solve[mc]",
+            "weighted-chi2[pairs]",
+        } <= names
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["settings"] == {"mc_draws": 30_000, "seed": 5}
 

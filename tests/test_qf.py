@@ -1,39 +1,35 @@
 """Tests for the quadratic-form law: moment-matched Gamma approximation,
-exact mixture-series density/CDF, and simulation."""
+exact mixture-series CDF, and simulation."""
 
 import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.stats
 
 from dsdprior._quad import ConvergenceError
 from dsdprior.qf import (
     GammaApprox,
-    RubenConfig,
-    _ruben_coefficients,
     gamma_approx,
     qf_moments,
     ruben_cdf,
-    ruben_pdf,
     sample_v,
 )
 from dsdprior.structure import QfWeights
 
-# Values generated by oracles.qf_cdf / oracles.qf_pdf (characteristic
-# function inversion at 30 significant digits; ~2s per point, so pinned).
+# Values generated by oracles.qf_cdf (characteristic function inversion
+# at 30 significant digits; ~2s per point, so pinned).
 _CF_ORACLE_123 = {
-    # x: (cdf, pdf) for weights (1, 2, 3)
-    1.0: (0.090828682998067649, 0.12046201459040226),
-    3.0: (0.33947147476827693, 0.11674462884580714),
-    6.0: (0.62267758953384397, 0.072643959044838615),
-    12.0: (0.88275674784236342, 0.022835426448444909),
+    # x: cdf for weights (1, 2, 3)
+    1.0: 0.090828682998067649,
+    3.0: 0.33947147476827693,
+    6.0: 0.62267758953384397,
+    12.0: 0.88275674784236342,
 }
 _CF_ORACLE_ASYM = {
-    # x: (cdf, pdf) for weights (0.2, 0.9, 5.0)
-    0.8: (0.13010043368013536, 0.18345732546621187),
-    6.0: (0.66555818621978003, 0.05246940720849122),
+    # x: cdf for weights (0.2, 0.9, 5.0)
+    0.8: 0.13010043368013536,
+    6.0: 0.66555818621978003,
 }
 
 
@@ -126,82 +122,6 @@ class TestQfMoments:
             qf_moments(_weights([1.0], 5), 0.0)
 
 
-class TestRubenCoefficients:
-    def test_single_weight_closed_form(self):
-        # with one weight lam and rho = lam/2 the mixture coefficients have
-        # the closed form c_k = sqrt(rho/lam) * C(2k, k) / 4^k * (1/2)^k;
-        # this pins down the recursion exactly
-        lam, rho = 3.0, 1.5
-        c = _ruben_coefficients(np.array([lam]), rho, 13)
-        a = 1.0 - rho / lam
-        want = [math.sqrt(rho / lam) * math.comb(2 * k, k) / 4**k * a**k for k in range(13)]
-        np.testing.assert_allclose(c, want, rtol=1e-13)
-
-    def test_mixture_sums_to_one(self):
-        # rho at the smallest weight keeps every coefficient nonnegative
-        # and the series is a probability mixture
-        w = np.array([1.0, 2.0, 3.0])
-        c = _ruben_coefficients(w, 1.0, 400)
-        assert np.all(c >= 0.0)
-        assert c.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestRubenPdf:
-    def test_single_weight_closed_form(self):
-        lam = 2.0
-        for q in (0.2, 1.0, 4.0):
-            want = math.exp(-q / (2 * lam)) / math.sqrt(2 * math.pi * lam * q)
-            assert ruben_pdf(q, _weights([lam], 5)) == pytest.approx(want, rel=1e-10)
-
-    def test_equal_weights_chi_squared(self):
-        w = _weights(np.ones(4), 9)
-        for q in (0.5, 3.0, 8.0):
-            assert ruben_pdf(q, w) == pytest.approx(scipy.stats.chi2.pdf(q, 4), rel=1e-10)
-
-    def test_matches_inversion_oracle(self):
-        w = _weights([1.0, 2.0, 3.0], 4)
-        for x, (_, pdf) in _CF_ORACLE_123.items():
-            assert ruben_pdf(x, w) == pytest.approx(pdf, rel=1e-9)
-
-    def test_asymmetric_spectrum_matches_oracle(self):
-        # default rho exceeds the smallest weight here, exercising the
-        # signed-coefficient branch with term-magnitude stopping
-        w = _weights([0.2, 0.9, 5.0], 4)
-        for x, (_, pdf) in _CF_ORACLE_ASYM.items():
-            assert ruben_pdf(x, w) == pytest.approx(pdf, rel=1e-9)
-
-    def test_integrates_to_one(self):
-        w = _weights([1.0, 2.0, 3.0], 4)
-        total, _ = scipy.integrate.quad(
-            lambda q: ruben_pdf(q, w), 0.0, np.inf, limit=200, epsabs=1e-10, epsrel=1e-10
-        )
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_array_matches_scalar(self):
-        w = _weights([0.2, 0.9, 5.0], 4)
-        xs = np.array([0.3, 0.8, 2.0, 6.0, 15.0])
-        batch = ruben_pdf(xs, w)
-        solo = np.array([ruben_pdf(float(x), w) for x in xs])
-        np.testing.assert_array_equal(batch, solo)
-
-    def test_rejects_bad_rho(self):
-        w = _weights([1.0, 4.0], 5)
-        with pytest.raises(ValueError):
-            ruben_pdf(1.0, w, RubenConfig(rho=2.0))  # needs rho < 2*min
-        with pytest.raises(ValueError):
-            ruben_pdf(1.0, w, RubenConfig(rho=-1.0))
-
-    def test_nonconvergence_carries_diagnostics(self):
-        w = _weights([0.2, 0.9, 5.0], 4)
-        with pytest.raises(ConvergenceError) as exc:
-            ruben_pdf(0.8, w, RubenConfig(max_terms=5))
-        assert "terms" in exc.value.diagnostics
-
-    def test_rejects_nonpositive_point(self):
-        with pytest.raises(ValueError):
-            ruben_pdf(0.0, _weights([1.0, 2.0], 5))
-
-
 class TestRubenCdf:
     def test_limits(self):
         w = _weights([1.0, 2.0, 3.0], 4)
@@ -211,19 +131,25 @@ class TestRubenCdf:
     def test_single_weight_normal_identity(self):
         assert ruben_cdf(2.0, _weights([2.0], 2)) == pytest.approx(0.6826894921370859, rel=1e-12)
 
+    def test_equal_weights_chi_squared(self):
+        w = _weights(np.ones(4), 9)
+        for q in (0.5, 3.0, 8.0):
+            assert ruben_cdf(q, w) == pytest.approx(scipy.stats.chi2.cdf(q, 4), rel=1e-10)
+
     def test_matches_inversion_oracle(self):
         w = _weights([1.0, 2.0, 3.0], 4)
-        for x, (cdf, _) in _CF_ORACLE_123.items():
+        for x, cdf in _CF_ORACLE_123.items():
             assert ruben_cdf(x, w) == pytest.approx(cdf, rel=1e-9)
-        for x, (cdf, _) in _CF_ORACLE_ASYM.items():
+        for x, cdf in _CF_ORACLE_ASYM.items():
             assert ruben_cdf(x, _weights([0.2, 0.9, 5.0], 4)) == pytest.approx(cdf, rel=1e-9)
 
-    def test_consistent_with_pdf(self):
-        w = _weights([1.0, 2.0, 3.0], 4)
-        total, _ = scipy.integrate.quad(
-            lambda q: ruben_pdf(q, w), 0.0, 6.0, limit=200, epsabs=1e-10, epsrel=1e-10
-        )
-        assert ruben_cdf(6.0, w) == pytest.approx(total, abs=1e-8)
+    def test_array_matches_scalar(self):
+        # each point stops on its own, so batching cannot change a value
+        w = _weights([0.2, 0.9, 5.0], 4)
+        xs = np.array([0.3, 0.8, 2.0, 6.0, 15.0])
+        batch = ruben_cdf(xs, w)
+        solo = np.array([ruben_cdf(float(x), w) for x in xs])
+        np.testing.assert_array_equal(batch, solo)
 
     def test_monotone(self):
         w = _weights([0.2, 0.9, 5.0], 4)
@@ -239,6 +165,21 @@ class TestRubenCdf:
         k = np.arange(1, draws.size + 1)
         ks = max(np.max(k / draws.size - probs), np.max(probs - (k - 1) / draws.size))
         assert ks < 0.01
+
+    def test_rejects_nonpositive_point(self):
+        with pytest.raises(ValueError):
+            ruben_cdf(0.0, _weights([1.0, 2.0], 5))
+
+    def test_nonconvergence_carries_diagnostics(self):
+        # a six-decade spread: the series decays as (1 - rho/lambda_max)^k
+        # ~ (1 - 2e-6)^k and cannot settle within its term budget
+        with pytest.raises(ConvergenceError) as exc:
+            ruben_cdf(5e6, _weights([1.0, 1e6], 4))
+        diag = exc.value.diagnostics
+        assert set(diag) == {"terms", "tail", "unsettled_points", "rho"}
+        assert diag["terms"] == 10000
+        assert diag["unsettled_points"] == 1
+        assert diag["rho"] == pytest.approx(2.0, rel=1e-5)
 
 
 class TestSampleV:
@@ -277,8 +218,9 @@ class TestSampleV:
 
 class TestApproximationQuality:
     def test_near_equal_weights_close_to_gamma(self):
-        # for a tight spectrum the two-moment Gamma is within 1% sup norm
-        # of the exact density over the central 98% region
+        # for a tight spectrum the two-moment Gamma's tail probabilities
+        # min(F, 1 - F) are within 1% relative of the exact law over the
+        # central 98% region
         n = 20
         lam = 1.0 + 0.01 * np.linspace(0.0, 1.0, n - 1)
         w = _weights(lam, n)
@@ -288,6 +230,7 @@ class TestApproximationQuality:
         lo = scipy.stats.gamma.ppf(0.01, shape, scale=1 / rate)
         hi = scipy.stats.gamma.ppf(0.99, shape, scale=1 / rate)
         grid = np.linspace(lo, hi, 60)
-        exact = ruben_pdf(grid, w)
-        approx = scipy.stats.gamma.pdf(grid, shape, scale=1 / rate)
-        assert np.max(np.abs(approx - exact) / exact) < 0.01
+        exact = ruben_cdf(grid, w)
+        approx = scipy.stats.gamma.cdf(grid, shape, scale=1 / rate)
+        tail = np.minimum(exact, 1.0 - exact)
+        assert np.max(np.abs(np.minimum(approx, 1.0 - approx) - tail) / tail) < 0.01

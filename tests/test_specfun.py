@@ -13,32 +13,9 @@ import pytest
 import oracles
 from dsdprior.specfun import (
     log_beta,
-    log_gamma,
     log_gauss_2f1_negz,
     log_kummer_u,
-    reg_inc_gamma_p,
 )
-
-
-class TestLogGamma:
-    def test_value_at_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_value_at_half(self):
-        # Gamma(1/2) = sqrt(pi)
-        np.testing.assert_allclose(log_gamma(0.5), 0.5 * math.log(math.pi), rtol=1e-15)
-
-    def test_against_oracle_across_range(self):
-        """Relative error <= 1e-13 on [1e-6, 1e6]."""
-        xs = np.logspace(-6, 6, 49)
-        for x in xs:
-            np.testing.assert_allclose(log_gamma(float(x)), oracles.loggamma(x), rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(log_gamma(10.75), oracles.loggamma(10.75), rtol=1e-14)
-
-    def test_rejects_nonpositive(self):
-        for bad in (0.0, -1.0, -0.5, math.nan):
-            with pytest.raises(ValueError):
-                log_gamma(bad)
 
 
 class TestLogBeta:
@@ -59,34 +36,6 @@ class TestLogBeta:
             log_beta(0.0, 1.0)
         with pytest.raises(ValueError):
             log_beta(1.0, -2.0)
-
-
-class TestRegIncGammaP:
-    def test_zero_at_origin(self):
-        assert reg_inc_gamma_p(2.5, 0.0) == 0.0
-
-    def test_exponential_case(self):
-        # P(1, x) = 1 - exp(-x)
-        for x in (0.1, 1.0, 3.7, 20.0):
-            np.testing.assert_allclose(reg_inc_gamma_p(1.0, x), -math.expm1(-x), atol=1e-14)
-
-    def test_against_oracle(self):
-        np.testing.assert_allclose(reg_inc_gamma_p(2.5, 3.7), oracles.gammainc_p(2.5, 3.7), atol=1e-13)
-        for a in (0.3, 1.0, 4.5, 40.0):
-            for x in (0.01, 0.5, 2.0, 10.0, 80.0):
-                np.testing.assert_allclose(reg_inc_gamma_p(a, x), oracles.gammainc_p(a, x), atol=1e-12)
-
-    def test_monotone_in_x(self):
-        xs = np.linspace(0.0, 30.0, 200)
-        vals = [reg_inc_gamma_p(3.3, float(x)) for x in xs]
-        assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
-        assert all(0.0 <= v <= 1.0 for v in vals)
-
-    def test_rejects_bad_domain(self):
-        with pytest.raises(ValueError):
-            reg_inc_gamma_p(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            reg_inc_gamma_p(2.0, -0.5)
 
 
 def _log_2f1(a, b, c, z):

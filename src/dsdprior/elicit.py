@@ -183,9 +183,9 @@ def solve_scale(spec):
                 z = np.exp(log_shape + y + log_1mw - log_w)
                 out = (p - 1.0) * log_w + (q - 1.0) * log_1mw + np.log(gammainc(shape, z))
             out += np.array([[log_ws], [log_1mws]])  # dw/dt of each row
-            return out if rows is None else out[rows]
+            return out[rows]
 
-        return float(np.logaddexp.reduce(log_tanh_sinh_01(log_f))) - offset
+        return float(np.logaddexp.reduce(log_tanh_sinh_01(log_f, 2))) - offset
 
     # 1 - w from the mirrored Beta keeps full precision when w rounds to 1
     y0 = math.log(betaincinv(p, q, pi0)) - math.log(betaincinv(q, p, 1.0 - pi0))

@@ -55,16 +55,12 @@ __all__ = [
     "twoF0_sample",
 ]
 
-# cap rows per special-function call so peak quadrature memory stays bounded
-_BATCH = 2048
-
-# probability left outside the normalization and residual grids, per tail
+# probability left outside the log-s grid of the density checks, per tail
 _TAIL = 1e-12
-# the normalization grid doubles from 257 points until it agrees with
+# that grid doubles from 257 points until each integral on it agrees with
 # its half grid to 1e-6; wide supports (heavy tails, small p) need more
 _MASS_POINTS = 257
 _MASS_POINTS_MAX = 16385
-_RESIDUAL_POINTS = 4001
 
 # quantile solve: log s must stay inside the normal doubles; it stops
 # when log s is bracketed to 1e-12 (relative on s) or the log tail
@@ -96,6 +92,20 @@ def _unwrap(values, template):
     if np.ndim(template) == 0:
         return float(values[0])
     return values
+
+
+def _density(log_density, x, theta):
+    out = log_density(np.atleast_1d(np.asarray(x, dtype=float)), theta)
+    with np.errstate(under="ignore"):
+        out = np.exp(out)
+    return _unwrap(out, x)
+
+
+def _checked_draws(draws):
+    bad = int(np.count_nonzero(~(np.isfinite(draws) & (draws > 0.0))))
+    if bad:
+        raise ConvergenceError("prior draws leave double range", bad_draws=bad, count=draws.size)
+    return draws
 
 
 @dataclass(frozen=True)
@@ -193,10 +203,7 @@ def b2_logpdf(s, theta):
 
 def b2_pdf(s, theta):
     """Density of the base prior at s > 0."""
-    out = np.atleast_1d(b2_logpdf(np.atleast_1d(np.asarray(s, dtype=float)), theta))
-    with np.errstate(under="ignore"):
-        out = np.exp(out)
-    return _unwrap(out, s)
+    return _density(b2_logpdf, s, theta)
 
 
 def b2_cdf(s, theta):
@@ -221,14 +228,18 @@ def b2_quantile(u, theta):
 
 
 def b2_sample(theta, count, seed):
-    """Draw ``count`` values from the base prior.  Same (count, seed)
-    gives bitwise-identical output; changing b only rescales it."""
+    """Draw ``count`` values from the base prior as b G_p / G_q, G_p ~
+    Gamma(p) and G_q ~ Gamma(q), which stays finite where the 1 - W of
+    b W / (1 - W), W ~ Beta(p, q), rounds to 0.  Same (count, seed) gives
+    bitwise-identical output; changing b only rescales it.  Raises
+    ConvergenceError if a draw is not a positive finite double."""
     count = int(count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    w = rng.beta(theta.p, theta.q, size=count)
-    return theta.b * (w / (1.0 - w))
+    with np.errstate(all="ignore"):
+        s = theta.b * (rng.gamma(theta.p, size=count) / rng.gamma(theta.q, size=count))
+    return _checked_draws(s)
 
 
 def halft_to_b2(dof, scale):
@@ -264,32 +275,23 @@ def twoF0_logpdf(x, theta):
         - math.lgamma(theta.q)
     )
     w = arr * (theta.beta / theta.b)
-    out = np.empty_like(arr)
-    for lo in range(0, arr.size, _BATCH):
-        hi = lo + _BATCH
-        out[lo:hi] = log_kummer_u(a + theta.q, 1.0 + a - theta.p, w[lo:hi])
+    out = log_kummer_u(a + theta.q, 1.0 + a - theta.p, w)
     out += log_const + (a - 1.0) * np.log(w)
     return _unwrap(out, x)
 
 
 def twoF0_pdf(x, theta):
     """Density of the marginal benchmark at x > 0."""
-    out = np.atleast_1d(twoF0_logpdf(np.atleast_1d(np.asarray(x, dtype=float)), theta))
-    with np.errstate(under="ignore"):
-        out = np.exp(out)
-    return _unwrap(out, x)
+    return _density(twoF0_logpdf, x, theta)
 
 
 def twoF0_sample(theta, count, seed):
-    """Draw from the marginal benchmark by composition: sigma2 from the
-    base prior, then Gamma(alpha, rate beta / sigma2)."""
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    """Draw from the marginal benchmark by composition: sigma2 from
+    `b2_sample`, then Gamma(alpha, rate beta / sigma2), both from the
+    generator ``seed`` gives numpy.random.default_rng."""
     rng = np.random.default_rng(seed)
-    w = rng.beta(theta.p, theta.q, size=count)
-    sigma2 = theta.b * (w / (1.0 - w))
-    return rng.gamma(theta.alpha, sigma2 / theta.beta, size=count)
+    sigma2 = b2_sample(B2Params(theta.b, theta.p, theta.q), count, rng)
+    return _checked_draws(rng.gamma(theta.alpha, sigma2 / theta.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +325,15 @@ def dsd_logpdf(s, theta):
     if theta.p == theta.alpha_tilde:
         return _unwrap(np.atleast_1d(b2_logpdf(arr, _reduced_base(theta))), s)
     z = -(theta.b * theta.beta_tilde / theta.beta) / arr
-    out = np.empty_like(arr)
-    a2 = theta.q + theta.alpha
-    b2 = theta.q + theta.p
-    c2 = theta.q + theta.alpha_tilde
-    for lo in range(0, arr.size, _BATCH):
-        hi = lo + _BATCH
-        out[lo:hi] = log_gauss_2f1_negz(a2, b2, c2, z[lo:hi])
+    t = theta
+    out = log_gauss_2f1_negz(t.q + t.alpha, t.q + t.p, t.q + t.alpha_tilde, z)
     out += _log_norm(theta) - (theta.q + 1.0) * np.log(arr)
     return _unwrap(out, s)
 
 
 def dsd_pdf(s, theta):
     """Density of the design-adjusted scale prior at s > 0."""
-    out = np.atleast_1d(dsd_logpdf(np.atleast_1d(np.asarray(s, dtype=float)), theta))
-    with np.errstate(under="ignore"):
-        out = np.exp(out)
-    return _unwrap(out, s)
+    return _density(dsd_logpdf, s, theta)
 
 
 def _log_mass(theta, y, upper):
@@ -383,35 +377,25 @@ def _log_mass(theta, y, upper):
         with np.errstate(divide="ignore"):
             return (p - 1.0) * log_w + (d - 1.0) * log_1mw + log_jac + np.log(i)
 
-    def below(log_t, log_1mt, lws, sh, up):
+    def below(t, log_t, log_1mt, rows):
         # w = w_s t; 1 - w = (1 - w_s) + w_s (1 - t)
-        log_w = lws[:, None] + log_t[None, :]
-        log_1mw = np.logaddexp(np.log(-np.expm1(lws))[:, None], lws[:, None] + log_1mt[None, :])
-        return integrand(log_w, log_1mw, lws[:, None], log_t[None, :] + sh[:, None], up)
+        lws = log_ws[rows, None]
+        log_w = lws + log_t[None, :]
+        log_1mw = np.logaddexp(np.log(-np.expm1(lws)), lws + log_1mt[None, :])
+        return integrand(log_w, log_1mw, lws, log_t[None, :] + shift[rows, None], upper[rows])
 
-    def above(log_t, log_1mt, lws, sh, up):
+    def above(t, log_t, log_1mt, rows):
         # log w = (1 - t) log w_s; ell = log(-log w), and 1 - w = -expm1(log w)
-        neg_lws = -lws[:, None]
+        neg_lws = -log_ws[rows, None]
         ell = log_1mt[None, :] + np.log(neg_lws)
         log_w = -np.exp(ell)
         with np.errstate(divide="ignore"):
             log_1mw = np.where(ell < -40.0, ell, np.log(-np.expm1(log_w)))
-        log_wr = np.exp(log_t)[None, :] * neg_lws + sh[:, None]
-        return integrand(log_w, log_1mw, log_w + np.log(neg_lws), log_wr, up)
+        log_wr = t[None, :] * neg_lws + shift[rows, None]
+        return integrand(log_w, log_1mw, log_w + np.log(neg_lws), log_wr, upper[rows])
 
-    def integrate(piece):
-        out = np.empty(y.size)
-        for lo in range(0, y.size, _BATCH):
-            rows = np.arange(lo, min(lo + _BATCH, y.size))
-
-            def log_f(t, log_t, log_1mt, sub, rows=rows):
-                r = rows if sub is None else rows[sub]
-                return piece(log_t, log_1mt, log_ws[r], shift[r], upper[r])
-
-            out[rows] = log_tanh_sinh_01(log_f, u_max=u_max)
-        return out
-
-    return np.logaddexp(integrate(below), integrate(above)) - log_beta(p, d)
+    lower, higher = (log_tanh_sinh_01(piece, y.size, u_max=u_max) for piece in (below, above))
+    return np.logaddexp(lower, higher) - log_beta(p, d)
 
 
 def _quantile(theta, u):
@@ -478,6 +462,27 @@ def _quantile(theta, u):
     )
 
 
+def _log_grid_integrals(theta, log_kernel):
+    """Integrals of k_i(s) f(s) ds, f the 2F1 density and log_kernel(y) the
+    (rows, len(y)) array log k_i(e^y), by the trapezoid rule in y = log s
+    between the product form's _TAIL and 1 - _TAIL quantiles; it converges
+    exponentially there, the integrand being ~0 at both ends.  Returns the
+    integrals, their differences from the half grid, which rows settled,
+    the grid size and the grid's ends."""
+    s_lo, s_hi = _quantile(theta, np.array([_TAIL, 1.0 - _TAIL]))
+    points = _MASS_POINTS
+    while True:
+        y = np.linspace(math.log(s_lo), math.log(s_hi), points)
+        with np.errstate(under="ignore"):
+            g = np.exp(log_kernel(y) + dsd_logpdf(np.exp(y), theta) + y)
+        full = np.trapezoid(g, y, axis=1)
+        error = np.abs(full - np.trapezoid(g[:, ::2], y[::2], axis=1))
+        settled = error <= 1e-6 * full
+        if np.all(settled) or points >= _MASS_POINTS_MAX:
+            return full, error, settled, points, float(s_lo), float(s_hi)
+        points = 2 * points - 1
+
+
 class DsdCurve:
     """CDF/quantile evaluator for the design-adjusted scale prior, by its
     product form s = b (beta_tilde / beta) W G_alpha / G_q.
@@ -485,13 +490,12 @@ class DsdCurve:
     The CDF is one tanh-sinh integral over W ~ Beta(p, alpha_tilde - p)
     per point, and quantiles solve it directly; nothing is tabulated.
     Construction checks the closed-form density against the product form:
-    the 2F1 density, integrated by the trapezoid rule on a uniform log
-    grid (257 points, doubled while it differs from its half grid by more
-    than 1e-6) between the product form's 1e-12 and 1 - 1e-12 quantiles,
-    plus the 2e-12 outside, must give total mass 1 within 1e-6.
-    ``diagnostics`` records that mass, its error (the difference from the
-    half grid), the grid size and the grid's ends.  The boundary case
-    p = alpha_tilde is the closed-form rescaled base prior."""
+    the 2F1 density, integrated on the log grid of
+    `integral_equation_residual`, plus the 2e-12 outside it, must give
+    total mass 1 within 1e-6.  ``diagnostics`` records that mass, its
+    error (the difference from the half grid), the grid size and the
+    grid's ends.  The boundary case p = alpha_tilde is the closed-form
+    rescaled base prior."""
 
     def __init__(self, params):
         if not isinstance(params, DsdParams):
@@ -500,27 +504,18 @@ class DsdCurve:
         if params.p == params.alpha_tilde:
             self.diagnostics = {"method": "closed-form", "total_mass": 1.0}
             return
-        s_lo, s_hi = _quantile(params, np.array([_TAIL, 1.0 - _TAIL]))
-        points = _MASS_POINTS
-        while True:
-            y = np.linspace(math.log(s_lo), math.log(s_hi), points)
-            # density of ln(s): f(e^y) e^y
-            with np.errstate(under="ignore"):
-                g = np.exp(dsd_logpdf(np.exp(y), params) + y)
-            mass = float(np.trapezoid(g, y)) + 2.0 * _TAIL
-            error = abs(mass - float(np.trapezoid(g[::2], y[::2])) - 2.0 * _TAIL)
-            if error <= 1e-6 or points >= _MASS_POINTS_MAX:
-                break
-            points = 2 * points - 1
+        mass, error, _, points, s_lo, s_hi = _log_grid_integrals(
+            params, lambda y: np.zeros((1, y.size))
+        )
         self.diagnostics = {
             "method": "product-form",
-            "total_mass": mass,
-            "mass_error": error,
+            "total_mass": float(mass[0]) + 2.0 * _TAIL,
+            "mass_error": float(error[0]),
             "points": points,
-            "s_lo": float(s_lo),
-            "s_hi": float(s_hi),
+            "s_lo": s_lo,
+            "s_hi": s_hi,
         }
-        if abs(mass - 1.0) > 1e-6:
+        if abs(self.diagnostics["total_mass"] - 1.0) > 1e-6:
             raise ConvergenceError(
                 "density mass between the product-form quantiles is not 1", **self.diagnostics
             )
@@ -565,10 +560,7 @@ def dsd_sample(theta, count, seed):
     with np.errstate(all="ignore"):
         s = t.b * t.beta_tilde / t.beta * w * rng.gamma(t.alpha, size=count)
         s /= rng.gamma(t.q, size=count)
-    bad = int(np.count_nonzero(~(np.isfinite(s) & (s > 0.0))))
-    if bad:
-        raise ConvergenceError("prior draws leave double range", bad_draws=bad, count=count)
-    return s
+    return _checked_draws(s)
 
 
 # ---------------------------------------------------------------------------
@@ -590,24 +582,28 @@ def integral_equation_residual(theta, v_grid):
     Gamma(alpha_tilde, rate beta_tilde / s) over the prior on s must give
     back the marginal benchmark, pointwise on ``v_grid``.
 
-    The mixing integral is computed on a uniform log-scale grid that runs
-    6 e-folds past the prior's 1e-12 and 1 - 1e-12 quantiles, so the
-    truncated tails are negligible; the trapezoid rule is spectrally
-    accurate there because the integrand decays to ~0 at both ends."""
+    The mixing integrals, one per point of ``v_grid``, share one uniform
+    log-s grid between the prior's 1e-12 and 1 - 1e-12 quantiles, 257
+    points doubled up to 16385 until each agrees with its half grid to
+    1e-6 relative; if the largest grid still disagrees, ConvergenceError
+    is raised rather than a residual reported from it."""
     v = _points(v_grid, "v_grid")
-    s_lo, s_hi = _quantile(theta, np.array([_TAIL, 1.0 - _TAIL]))
-    y = np.linspace(math.log(s_lo) - 6.0, math.log(s_hi) + 6.0, _RESIDUAL_POINTS)
-    log_f = dsd_logpdf(np.exp(y), theta) + y
     at, bt = theta.alpha_tilde, theta.beta_tilde
-    log_kernel = (
-        (at * (math.log(bt) - y) - math.lgamma(at))[None, :]
-        + ((at - 1.0) * np.log(v))[:, None]
-        - np.outer(v, bt * np.exp(-y))
-    )
-    with np.errstate(under="ignore"):
-        mixed = np.trapezoid(np.exp(log_kernel + log_f[None, :]), y, axis=1)
-    closed = np.atleast_1d(
-        twoF0_pdf(v, TwoF0Params(theta.alpha, theta.beta, theta.b, theta.p, theta.q))
-    )
+
+    def log_kernel(y):
+        return (
+            (at * (math.log(bt) - y) - math.lgamma(at))[None, :]
+            + ((at - 1.0) * np.log(v))[:, None]
+            - np.outer(v, bt * np.exp(-y))
+        )
+
+    mixed, _, settled, points, _, _ = _log_grid_integrals(theta, log_kernel)
+    if not np.all(settled):
+        raise ConvergenceError(
+            "mixing integrals did not settle on the log-s grid",
+            points=points,
+            unsettled_points=v[~settled],
+        )
+    closed = twoF0_pdf(v, TwoF0Params(theta.alpha, theta.beta, theta.b, theta.p, theta.q))
     rel = np.abs(mixed - closed) / closed
     return ResidualReport(v_grid=v, rel_errors=rel, max_rel_error=float(np.max(rel)))

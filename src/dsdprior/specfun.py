@@ -96,13 +96,12 @@ def _log_2f1_quadrature(a, b, c, z):
 
     def integrand(t, log_t, log_1mt, rows):
         # log of t^(b-1) (1-t)^(c-b-1) (1 + |z| t)^(-a)
-        lnz = log_neg_z if rows is None else log_neg_z[rows]
-        ln1mzt = np.logaddexp(0.0, lnz[:, None] + log_t[None, :])
+        ln1mzt = np.logaddexp(0.0, log_neg_z[rows, None] + log_t[None, :])
         return (b - 1.0) * log_t[None, :] + (c - b - 1.0) * log_1mt[None, :] - a * ln1mzt
 
     # window wide enough that the weaker endpoint power is fully resolved
     u_max = max(6.5, math.asinh(1100.0 / (math.pi * min(b, c - b))))
-    log_i = log_tanh_sinh_01(integrand, u_max=u_max)
+    log_i = log_tanh_sinh_01(integrand, z.size, u_max=u_max)
     return log_i - log_beta(b, c - b)
 
 
@@ -155,11 +154,10 @@ def log_kummer_u(a, b, z):
     log_a = math.log(a)
 
     def integrand(sig, log_sig, rows):
-        lnz = log_z if rows is None else log_z[rows]
-        ln1ptz = np.logaddexp(0.0, log_a + log_sig[None, :] - lnz[:, None])
+        ln1ptz = np.logaddexp(0.0, log_a + log_sig[None, :] - log_z[rows, None])
         return a * (log_sig - sig)[None, :] - log_sig[None, :] + d * ln1ptz
 
     # left window deep enough that the truncated sig^a tail is negligible
     u_lo = -max(6.75, math.asinh(800.0 / (math.pi * a)))
-    log_i = log_exp_sinh_0inf(integrand, u_lo=u_lo, u_hi=4.5)
+    log_i = log_exp_sinh_0inf(integrand, z.size, u_lo=u_lo, u_hi=4.5)
     return log_i + a * log_a - math.lgamma(a) - a * log_z

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 from scipy.special import beta, betainc, betaincinv
 
 import oracles
+from dsdprior import priors
 from dsdprior._quad import ConvergenceError
 from dsdprior.priors import (
     B2Params,
@@ -186,6 +187,14 @@ class TestB2Sample:
         draws = np.sort(b2_sample(theta, 1_000_000, seed=9))
         assert _ks_statistic(draws, b2_cdf(draws, theta)) < 0.005
 
+    def test_small_tail_exponent_draws_are_finite(self):
+        # with q = 0.2 about one W ~ Beta(1, 0.2) in 2000 rounds to 1,
+        # where b W / (1 - W) would be inf
+        theta = B2Params(1.0, 1.0, 0.2)
+        draws = np.sort(b2_sample(theta, 1_000_000, seed=1))
+        assert np.all(np.isfinite(draws))
+        assert _ks_statistic(draws, b2_cdf(draws, theta)) < 0.005
+
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
@@ -291,6 +300,10 @@ class TestTwoF0Sample:
         cum = scipy.interpolate.PchipInterpolator(y, dens).antiderivative()
         probs = (cum(np.log(draws)) - cum(y[0])) / (cum(y[-1]) - cum(y[0]))
         assert _ks_statistic(draws, probs) < 0.005
+
+    def test_small_tail_exponent_draws_are_finite(self):
+        theta = TwoF0Params(alpha=24.5, beta=24.5, b=1.0, p=1.0, q=0.2)
+        assert np.all(np.isfinite(twoF0_sample(theta, 100_000, seed=1)))
 
 
 class TestDsdParams:
@@ -447,6 +460,14 @@ class TestIntegralEquation:
     def test_iid_case_residual(self):
         report = integral_equation_residual(BATTERY[1], np.logspace(-2, 1, 12))
         assert report.max_rel_error < 1e-8
+
+    def test_unsettled_grid_raises(self, monkeypatch):
+        # the iid case needs 1025 points; with the grid capped at 257 its
+        # mixing integrals do not settle, and no residual may be reported
+        monkeypatch.setattr(priors, "_MASS_POINTS_MAX", 257)
+        with pytest.raises(ConvergenceError) as info:
+            integral_equation_residual(BATTERY[1], np.logspace(-2, 1, 12))
+        assert info.value.diagnostics["points"] == 257
 
     def test_generic_case_residual(self):
         marg = TwoF0Params(alpha=GENERIC.alpha, beta=GENERIC.beta, b=GENERIC.b,

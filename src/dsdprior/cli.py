@@ -145,6 +145,17 @@ def _read_edge_list(path: Path) -> np.ndarray:
     return adjacency
 
 
+def _structure_from_file(path_str, rank_deficiency, ctx: _RunContext) -> StructureSpec:
+    if rank_deficiency is None:
+        raise ValueError("a structure read from a file needs an explicit 'rank_deficiency'")
+    path = ctx.track_input(ctx.resolve(path_str))
+    return StructureSpec(
+        precision=read_matrix_market(path),
+        rank_deficiency=int(rank_deficiency),
+        label=f"file({path.name})",
+    )
+
+
 def _structure_from_recipe(recipe, rank_deficiency, ctx: _RunContext) -> StructureSpec:
     parts = str(recipe).split()
     if len(parts) != 2:
@@ -162,14 +173,7 @@ def _structure_from_recipe(recipe, rank_deficiency, ctx: _RunContext) -> Structu
         path = ctx.track_input(ctx.resolve(arg))
         return build_icar(_read_edge_list(path))
     if head == "file":
-        if rank_deficiency is None:
-            raise ValueError("the file recipe needs an explicit rank_deficiency")
-        path = ctx.track_input(ctx.resolve(arg))
-        return StructureSpec(
-            precision=read_matrix_market(path),
-            rank_deficiency=int(rank_deficiency),
-            label=f"file({path.name})",
-        )
+        return _structure_from_file(arg, rank_deficiency, ctx)
     raise ValueError(f"unknown structure recipe {head!r}")
 
 
@@ -179,12 +183,7 @@ def _load_structure(cfg, ctx: _RunContext) -> StructureSpec:
     if "recipe" in cfg:
         return _structure_from_recipe(cfg["recipe"], cfg.get("rank_deficiency"), ctx)
     if "path" in cfg:
-        path = ctx.track_input(ctx.resolve(cfg["path"]))
-        return StructureSpec(
-            precision=read_matrix_market(path),
-            rank_deficiency=int(_require(cfg, "rank_deficiency", "structure config")),
-            label=f"file({path.name})",
-        )
+        return _structure_from_file(cfg["path"], cfg.get("rank_deficiency"), ctx)
     raise ValueError("structure config needs either 'recipe' or 'path'")
 
 

@@ -25,7 +25,7 @@ from ._quad import ConvergenceError, log_tanh_sinh_01
 from .priors import DsdParams, TwoF0Params, dsd_sample, twoF0_sample
 from .qf import gamma_approx
 from .specfun import log_beta
-from .structure import DesignMatrix, StructureSpec, qf_weights, spectral_split
+from .structure import DesignMatrix, QfWeights, StructureSpec, effect_map, qf_weights
 
 __all__ = [
     "ComponentPrior",
@@ -206,13 +206,14 @@ def solve_scale(spec):
 @dataclass(frozen=True)
 class ComponentPrior:
     """A component's elicited prior: the distribution parameters, the
-    quadratic-form weights they came from, the map from spherical
-    innovations to predictor-scale effects (columns span the structure's
-    range space), the scale solve, and provenance for reproducibility."""
+    quadratic-form weights they came from, the design and structure
+    (``effect_map`` of the two carries spherical innovations to
+    predictor-scale effects), the scale solve, and provenance."""
 
     params: DsdParams
-    weights: object
-    effect_map: np.ndarray
+    weights: QfWeights
+    design: DesignMatrix
+    structure: StructureSpec
     scale: ScaleSolution
     provenance: dict = field(repr=False)
     label: str = ""
@@ -250,9 +251,6 @@ def build_dsd_prior(design, structure, elic):
         p=elic.p,
         q=elic.q,
     )
-    split = spectral_split(structure)
-    effect_map = design.values @ (split.range_basis * split.range_eigs**-0.5)
-    effect_map.setflags(write=False)
     provenance = {
         "version": __version__,
         "weights_sha256": hashlib.sha256(np.ascontiguousarray(weights.weights).tobytes()).hexdigest(),
@@ -265,7 +263,8 @@ def build_dsd_prior(design, structure, elic):
     return ComponentPrior(
         params=params,
         weights=weights,
-        effect_map=effect_map,
+        design=design,
+        structure=structure,
         scale=solution,
         provenance=provenance,
         label=f"{design.kind}+{structure.label}",
@@ -340,9 +339,10 @@ def predictor_prior_check(components, mc_draws, seed):
             )
         if (t.alpha, t.beta, t.b, t.p, t.q) != (ref.alpha, ref.beta, ref.b, ref.p, ref.q):
             raise ValueError("components do not share a common benchmark (alpha, beta, b, p, q)")
-    n = components[0].effect_map.shape[0]
-    if any(comp.effect_map.shape[0] != n for comp in components):
+    n = components[0].design.n
+    if any(comp.design.n != n for comp in components):
         raise ValueError("components disagree on predictor length")
+    maps = [effect_map(comp.design, comp.structure) for comp in components]
 
     k = len(components)
     pairs = [(j, l) for j in range(k) for l in range(j + 1, k)]
@@ -355,10 +355,10 @@ def predictor_prior_check(components, mc_draws, seed):
     while done < mc_draws:
         m = min(_CHECK_CHUNK, mc_draws - done)
         etas = []
-        for comp in components:
+        for comp, e in zip(components, maps):
             s = dsd_sample(comp.params, m, rng)
-            g = rng.standard_normal((comp.effect_map.shape[1], m))
-            eta = comp.effect_map @ g
+            g = rng.standard_normal((e.shape[1], m))
+            eta = e @ g
             eta *= np.sqrt(s)[None, :]
             eta -= eta.mean(axis=0, keepdims=True)
             etas.append(eta)

@@ -2,14 +2,16 @@
 
 Builders for common intrinsic structures (random walks, graph-based
 conditional autoregressions, penalized spline penalties), the spectral
-split of a rank-deficient precision into null and range parts, and the
-eigenvalue weights of the centered quadratic form
+split of a rank-deficient precision into null and range parts, the
+effect map E = Z U+ Lambda+^{-1/2} and the eigenvalue weights of the
+centered quadratic form
 
     V = nu' M nu / (n - 1),    M = I - 11'/n,
 
 which drive everything downstream: under a sum-to-zero constrained
-Gaussian with precision K / sigma2, V given sigma2 is distributed as a
-weighted sum of chi-squared(1) variables with the weights computed here.
+Gaussian with precision K / sigma2, nu = sqrt(sigma2) E gamma with gamma
+spherical, so V given sigma2 is a weighted sum of chi-squared(1)
+variables whose weights are the nonzero eigenvalues of (ME)'(ME).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "build_icar",
     "build_rw",
     "centering_matrix",
+    "effect_map",
     "qf_weights",
     "scaled_structure",
     "spectral_split",
@@ -54,7 +57,6 @@ class StructureSpec:
     precision: np.ndarray
     rank_deficiency: int
     label: str = ""
-    _split: "SpectralSplit | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.array(self.precision, dtype=float)
@@ -240,9 +242,7 @@ def spectral_split(spec: StructureSpec) -> SpectralSplit:
     """Symmetric eigendecomposition of K classified against the declared
     rank deficiency. Eigenvalues below n_g * eps * max_eig are treated
     as null; their count must equal the declared deficiency, otherwise
-    the declaration is wrong and we refuse to guess. Cached per spec."""
-    if spec._split is not None:
-        return spec._split
+    the declaration is wrong and we refuse to guess."""
     eigs, vecs = np.linalg.eigh(spec.precision)
     lam_max = float(eigs[-1])
     if lam_max <= 0.0:
@@ -257,13 +257,20 @@ def spectral_split(spec: StructureSpec) -> SpectralSplit:
             f"declared rank deficiency {spec.rank_deficiency} but found "
             f"{found} null eigenvalues (threshold {tau:.3e})"
         )
-    split = SpectralSplit(
+    return SpectralSplit(
         null_basis=_as_readonly(vecs[:, null]),
         range_basis=_as_readonly(vecs[:, ~null]),
         range_eigs=_as_readonly(eigs[~null]),
     )
-    spec._split = split
-    return split
+
+
+def effect_map(design: DesignMatrix, spec: StructureSpec) -> np.ndarray:
+    """E = Z U+ Lambda+^{-1/2}, n x (n_g - kappa): the constrained effect
+    nu = Z beta is sqrt(sigma2) E gamma with gamma standard normal."""
+    if design.m != spec.n_g:
+        raise ValueError("design columns must match the structure size")
+    split = spectral_split(spec)
+    return design.values @ (split.range_basis * split.range_eigs**-0.5)
 
 
 def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> QfWeights:
@@ -272,16 +279,14 @@ def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> 
 
     The conditional law of (n-1) V given sigma2 is sigma2 times a sum of
     weights[k] * chi-squared(1). The weights are the nonzero eigenvalues
-    of (Z'MZ) K^-, computed through the symmetric congruence
-    Lambda+^{-1/2} U+' (Z'MZ) U+ Lambda+^{-1/2} so a single symmetric
-    eigensolve gives them in deterministic ascending order.
+    of (Z'MZ) K^-, computed as those of the Gram matrix (ME)'(ME) of the
+    column-centered effect map, so a single symmetric eigensolve gives
+    them in deterministic ascending order.
 
     An improper structure (rank_deficiency > 0) is only meaningful under
     the null-space constraint U0' beta = 0; asking for the unconstrained
     law of such a component is an error, not a warning.
     """
-    if design.m != spec.n_g:
-        raise ValueError("design columns must match the structure size")
     n = design.n
     if n < 2:
         raise ValueError("need at least two predictor rows")
@@ -290,15 +295,10 @@ def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> 
             "improper structure (rank deficiency > 0) has no unconstrained "
             "sampling law; pass constrained=True"
         )
-    split = spectral_split(spec)
-    zc = design.values - design.values.mean(axis=0)  # M Z without forming M
-    g = zc.T @ zc
-    u = split.range_basis
-    inv_sqrt = 1.0 / np.sqrt(split.range_eigs)
-    a = (u.T @ g @ u) * np.outer(inv_sqrt, inv_sqrt)
-    a = (a + a.T) / 2.0
-    eigs = np.linalg.eigvalsh(a)
-    tau = a.shape[0] * _EPS * max(float(eigs[-1]), 0.0)
+    e = effect_map(design, spec)
+    e -= e.mean(axis=0)  # M E without forming M
+    eigs = np.linalg.eigvalsh(e.T @ e)
+    tau = eigs.size * _EPS * max(float(eigs[-1]), 0.0)
     kept = eigs[eigs > tau]
     return QfWeights(
         weights=kept,

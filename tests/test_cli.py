@@ -112,6 +112,20 @@ class TestWeightsCommand:
         )
         np.testing.assert_array_equal(np.array(doc["weights"]), want.weights)
 
+    @pytest.mark.parametrize("form", ["recipe", "path"])
+    def test_structure_file_needs_rank_deficiency(self, tmp_path, capsys, form):
+        out1 = tmp_path / "out1"
+        cfg1 = write_config(tmp_path / "s.json", {"recipe": "crw2 17"})
+        assert run("structure", "--config", cfg1, "--out", out1) == 0
+        mtx = out1 / "structure.mtx"
+        structure = {"recipe": f"file {mtx}"} if form == "recipe" else {"path": str(mtx)}
+        cfg = write_config(
+            tmp_path / "w.json", {"design": {"kind": "identity"}, "structure": structure}
+        )
+        capsys.readouterr()
+        assert run("weights", "--config", cfg, "--out", tmp_path / "out2") == 1
+        assert "'rank_deficiency'" in capsys.readouterr().err
+
     def test_exchangeable_component_has_unit_weights(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",

@@ -23,7 +23,7 @@ from dsdprior.elicit import (
     variance_share_draws,
 )
 from dsdprior.priors import B2Params, b2_pdf, dsd_pdf
-from dsdprior.structure import DesignMatrix, StructureSpec, build_rw
+from dsdprior.structure import DesignMatrix, StructureSpec, build_rw, effect_map
 
 
 def _identity_structure(n):
@@ -215,9 +215,16 @@ class TestBuildDsdPrior:
         )
         assert abs(comp.params.b - 26.5) / 26.5 < 0.03
         assert comp.params.alpha == (n - 1) / 2.0
-        assert comp.effect_map.shape == (n, n - 1)
+        assert effect_map(comp.design, comp.structure).shape == (n, n - 1)
         for key in ("weights_sha256", "pi0", "c"):
             assert key in comp.provenance
+
+    def test_carries_its_design_and_structure(self):
+        design = DesignMatrix.identity(20)
+        structure = build_rw(order=1, n_g=20)
+        comp = build_dsd_prior(design, structure, ElicitationSpec(n=20, c=1.0))
+        assert comp.design is design
+        assert comp.structure is structure
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

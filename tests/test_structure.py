@@ -12,6 +12,7 @@ from dsdprior.structure import (
     build_icar,
     build_rw,
     centering_matrix,
+    effect_map,
     qf_weights,
     scaled_structure,
     spectral_split,
@@ -229,9 +230,23 @@ class TestSpectralSplit:
         err = np.linalg.norm(rebuilt - spec.precision) / np.linalg.norm(spec.precision)
         assert err < 1e-9
 
-    def test_split_is_cached(self):
+
+class TestEffectMap:
+    def test_whitens_the_structure_on_its_range(self):
+        # identity design: E = U+ Lambda+^{-1/2}, so E'KE = I and U0'E = 0
+        spec = build_rw(2, 25)
+        e = effect_map(DesignMatrix.identity(25), spec)
+        assert e.shape == (25, 23)
+        np.testing.assert_allclose(e.T @ spec.precision @ e, np.eye(23), atol=1e-9)
+        assert np.max(np.abs(spectral_split(spec).null_basis.T @ e)) < 1e-9
+
+    def test_rejects_wrong_column_count(self):
+        z = DesignMatrix.identity(11)
         spec = build_rw(1, 12)
-        assert spectral_split(spec) is spectral_split(spec)
+        with pytest.raises(ValueError, match="structure size"):
+            effect_map(z, spec)
+        with pytest.raises(ValueError, match="structure size"):
+            qf_weights(z, spec, constrained=True)
 
 
 class TestQfWeights:
@@ -263,6 +278,40 @@ class TestQfWeights:
         oracle = np.linalg.eigvals(g @ np.linalg.pinv(spec.precision))
         oracle = np.sort(oracle.real)[-3:]
         np.testing.assert_allclose(np.sort(w.weights), oracle, rtol=1e-9)
+
+    def test_selection_design_against_pseudoinverse_oracle(self):
+        # 48 one-hot rows over 36 of 40 regions: an rw1 effect that is
+        # constant on the observed regions and free on the 4 unobserved
+        # ones is centered away, so 4 range directions join the null one
+        rng = np.random.default_rng(17)
+        regions = np.concatenate([np.arange(36), rng.integers(0, 36, size=12)])
+        values = np.zeros((48, 40))
+        values[np.arange(48), regions] = 1.0
+        z = DesignMatrix(values=values, kind="selection")
+        spec = build_rw(1, 40)
+        w = qf_weights(z, spec, constrained=True)
+        assert w.weights.size == 35
+        assert w.zero_count == 5
+        m = centering_matrix(48)
+        g = z.values.T @ m @ z.values
+        oracle = np.linalg.eigvals(g @ np.linalg.pinv(spec.precision))
+        oracle = np.sort(oracle.real)[-35:]
+        np.testing.assert_allclose(w.weights, oracle, rtol=1e-9)
+
+    def test_circular_walk_against_closed_form_spectrum(self):
+        # identity design: the weights are 1 / (range eigenvalues of K),
+        # and crw2 has the circulant spectrum (2 - 2 cos(2 pi k / n))^2
+        # (Rue & Held 2005, GMRF, sec. 3.1). Dense eigh gets the smallest
+        # eigenvalue, about (2 pi / n)^4 = 8.8e-8 here, only to an absolute
+        # error of order eps * 16, so the largest weights carry a relative
+        # error of order eps * lambda_max / lambda_min = 4e-8; the
+        # tolerance sits just above that, not at the 9e-9 seen today.
+        n = 366
+        w = qf_weights(DesignMatrix.identity(n), build_rw(2, n, circular=True), constrained=True)
+        k = np.arange(1, n)
+        closed = np.sort(1.0 / (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) ** 2)
+        np.testing.assert_allclose(w.weights, closed, rtol=1e-7)
+        assert w.zero_count == 1
 
     def test_orthogonal_reparameterization_invariance(self):
         rng = np.random.default_rng(11)

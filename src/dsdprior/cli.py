@@ -327,9 +327,11 @@ def _cmd_prior(cfg, ctx: _RunContext):
     curve = dsd_cdf_quantile(theta)
     lo, hi = curve.quantile(np.array([1e-3, 1.0 - 1e-3]))
     s = np.exp(np.linspace(math.log(lo), math.log(hi), points))
-    ctx.write_csv("prior_grid.csv", ("s", "pdf", "cdf"), (s, dsd_pdf(s, theta), curve.cdf(s)))
+    pdf = dsd_pdf(s, theta)
+    ctx.write_csv("prior_grid.csv", ("s", "pdf", "cdf"), (s, pdf, curve.cdf(s)))
+    # the sd t = sqrt(s) has density 2 t f(t^2) = 2 t f(s)
     t = np.sqrt(s)
-    ctx.write_csv("prior_sd_grid.csv", ("sd", "pdf"), (t, 2.0 * t * dsd_pdf(t * t, theta)))
+    ctx.write_csv("prior_sd_grid.csv", ("sd", "pdf"), (t, 2.0 * t * pdf))
 
 
 def _cmd_sample(cfg, ctx: _RunContext):
@@ -443,7 +445,7 @@ def _cmd_verify(cfg, ctx: _RunContext):
     exact = gammainc(0.5, q_grid / (2.0 * 2.0))
     record("weighted-chi2[single]", np.abs(ruben_cdf(q_grid, single) - exact).max(), 1e-10)
 
-    # unequal weights take the series; paired weights give a closed form,
+    # the series against a closed form on paired weights,
     # Q = chi2_2 + 3 chi2_2 with F(q) = 1 - 1.5 e^(-q/6) + 0.5 e^(-q/2)
     pairs = QfWeights(weights=np.array([1.0, 1.0, 3.0, 3.0]), n_predictor=10, zero_count=1)
     q_grid = np.linspace(0.05, 60.0, 200)

@@ -7,7 +7,8 @@ V = nu' M nu / (n - 1) satisfies
     (n - 1) V / sigma2  =  Q  =  sum_k  lambda_k chi2_1,
 
 with lambda the quadratic-form weights from the structure module. This
-module provides the exact CDF of Q (Ruben's Gamma-mixture series), the
+module provides the exact CDF of Q (Ruben's Gamma-mixture series, for
+every weight vector: with equal weights it is one exact term), the
 two-moment Gamma approximation of V that the closed-form priors build
 on, exact conditional moments, and seeded simulation of V.
 
@@ -140,20 +141,19 @@ def _series_cdf(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def ruben_cdf(q, w: QfWeights):
     """P(Q <= q) at q > 0 (scalar or vector), by Ruben's Gamma-mixture
-    series; one weight, or all weights equal, takes the exact scaled
-    chi-square. Nondecreasing in q; clipped to [0, 1] against truncation
-    residue. Raises ConvergenceError when the series needs more than
-    _MAX_TERMS terms, as it does once lambda_max/lambda_min is large."""
+    series. With one weight, or all weights equal, rho is that weight (to
+    rounding) and the series is its first term, the exact scaled
+    chi-square.
+    Nondecreasing in q; clipped to [0, 1] against truncation residue.
+    Raises ConvergenceError when the series needs more than _MAX_TERMS
+    terms, as it does once lambda_max/lambda_min is large."""
     lam = w.weights
     if lam.size == 0:
         raise ValueError("no positive weights")
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
     if not np.all(np.isfinite(q_arr)) or np.any(q_arr <= 0.0):
         raise ValueError("evaluation points must be positive and finite")
-    if lam.size == 1 or np.all(lam == lam[0]):
-        out = gammainc(lam.size / 2.0, q_arr / (2.0 * float(lam[0])))
-    else:
-        out = np.clip(_series_cdf(q_arr, lam), 0.0, 1.0)
+    out = np.clip(_series_cdf(q_arr, lam), 0.0, 1.0)
     return float(out[0]) if np.ndim(q) == 0 else out
 
 

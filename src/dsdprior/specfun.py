@@ -4,14 +4,14 @@ Log-beta is a checked wrapper over scipy's kernel.  The two
 hypergeometric functions are evaluated from scratch through real
 integral representations, because no standard double-precision routine
 covers the parameter/argument ranges needed here with controlled
-relative error and log-scale output:
+relative error and log-scale output.  Each has one path, tanh-sinh
+quadrature on (0, 1) with log-space accumulation:
 
 * ``log_gauss_2f1_negz`` -- log of Gauss 2F1 restricted to z <= 0 with
-  c > b > 0, through the Euler integral (tanh-sinh quadrature, log-space
-  accumulation), with a positive-term Pfaff-transformed series shortcut
-  for small |z|.
+  c > b > 0, through the Euler integral.
 * ``log_kummer_u`` -- log of Kummer's U for a > 0, z > 0, through the
-  Laplace integral (exp-sinh quadrature after rescaling t -> tau/z).
+  Laplace integral, rescaled t -> a sig / z and mapped to (0, 1) by
+  sig = t / (1 - t).
 
 Both are vectorized over the argument and return logs, so values far
 outside double range stay finite.
@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from ._quad import ConvergenceError, log_exp_sinh_0inf, log_tanh_sinh_01
+from ._quad import ConvergenceError, log_tanh_sinh_01
 
 __all__ = [
     "ConvergenceError",
@@ -30,11 +30,6 @@ __all__ = [
     "log_gauss_2f1_negz",
     "log_kummer_u",
 ]
-
-# series shortcut region and term budget for 2F1
-_SERIES_MAX_ABS_Z = 1.0
-_SERIES_BUDGET = 600
-_SERIES_MAX_PARAM = 400.0
 
 
 def _require(cond, msg):
@@ -65,48 +60,12 @@ def _validate_2f1_params(a, b, c):
     )
 
 
-def _log_2f1_series(a, b, c, z):
-    """Pfaff-transformed positive-term series, valid for z in [-1, 0].
-
-    2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; w) with w = z/(z-1) in
-    [0, 1/2]; every term is positive, so no cancellation.  Returns
-    (log values, converged mask).
-    """
-    w = z / (z - 1.0)
-    term = np.ones_like(w)
-    total = np.ones_like(w)
-    tiny_run = np.zeros(w.shape, dtype=np.int64)
-    d = c - b
-    for k in range(_SERIES_BUDGET):
-        term = term * ((a + k) * (d + k)) / ((c + k) * (k + 1.0)) * w
-        total = total + term
-        # two consecutive negligible terms before declaring convergence:
-        # the term sequence is a single hump, but cheap insurance
-        tiny_run = np.where(term <= 1e-17 * total, tiny_run + 1, 0)
-        if np.all(tiny_run >= 2):
-            break
-    return -a * np.log1p(-z) + np.log(total), tiny_run >= 2
-
-
-def _log_2f1_quadrature(a, b, c, z):
-    """Euler integral by tanh-sinh in log space; z <= 0 array."""
-    z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_neg_z = np.where(z < 0.0, np.log(-z), -np.inf)
-
-    def integrand(t, log_t, log_1mt, rows):
-        # log of t^(b-1) (1-t)^(c-b-1) (1 + |z| t)^(-a)
-        ln1mzt = np.logaddexp(0.0, log_neg_z[rows, None] + log_t[None, :])
-        return (b - 1.0) * log_t[None, :] + (c - b - 1.0) * log_1mt[None, :] - a * ln1mzt
-
-    # window wide enough that the weaker endpoint power is fully resolved
-    u_max = max(6.5, math.asinh(1100.0 / (math.pi * min(b, c - b))))
-    log_i = log_tanh_sinh_01(integrand, z.size, u_max=u_max)
-    return log_i - log_beta(b, c - b)
-
-
 def log_gauss_2f1_negz(a, b, c, z):
-    """log 2F1(a,b;c;z) for an array of z <= 0; requires c > b > 0, a > 0."""
+    """log 2F1(a,b;c;z) for an array of z <= 0; requires c > b > 0, a > 0.
+
+    Uses the Euler integral 2F1 = B(b, c-b)^(-1) int_0^1 t^(b-1)
+    (1-t)^(c-b-1) (1 + |z| t)^(-a) dt, whose weakest endpoint power is
+    min(b, c - b)."""
     a = float(a)
     b = float(b)
     c = float(c)
@@ -116,15 +75,15 @@ def log_gauss_2f1_negz(a, b, c, z):
     _require(np.all(z <= 0.0), f"log_gauss_2f1_negz is restricted to z <= 0, got max {z.max()!r}")
 
     out = np.zeros(z.shape, dtype=float)
-    todo = z < 0.0  # z == 0 -> log 1 = 0 directly
-    series_ok = todo & (z >= -_SERIES_MAX_ABS_Z) & (a + (c - b) <= _SERIES_MAX_PARAM)
-    if np.any(series_ok):
-        vals, conv = _log_2f1_series(a, b, c, z[series_ok])
-        idx = np.flatnonzero(series_ok)
-        out[idx[conv]] = vals[conv]
-        todo[idx[conv]] = False
-    if np.any(todo):
-        out[todo] = _log_2f1_quadrature(a, b, c, z[todo])
+    neg = z < 0.0  # z == 0 -> log 1 = 0 directly
+    log_neg_z = np.log(-z[neg])
+
+    def integrand(t, log_t, log_1mt, rows):
+        ln1mzt = np.logaddexp(0.0, log_neg_z[rows, None] + log_t[None, :])
+        return (b - 1.0) * log_t[None, :] + (c - b - 1.0) * log_1mt[None, :] - a * ln1mzt
+
+    log_i = log_tanh_sinh_01(integrand, log_neg_z.size, power=min(b, c - b))
+    out[neg] = log_i - log_beta(b, c - b)
     return out
 
 
@@ -137,10 +96,12 @@ def log_kummer_u(a, b, z):
 
     Uses U(a,b,z) = Gamma(a)^(-1) z^(-a) a^a * int_0^inf e^(-a sig)
     sig^(a-1) (1 + a sig / z)^(b-a-1) dsig, the Laplace integral under
-    tau = a sig.  The substitution pins the integrand's peak at sig ~ 1,
-    i.e. at the center of the exp-sinh window where nodes are densest;
-    without it the peak drifts to tau ~ a, where large a makes it too
-    narrow for the node spacing.
+    tau = a sig, taken over t in (0, 1) with sig = t / (1 - t) and
+    dsig = dt / (1 - t)^2.  The rescaling pins the integrand's peak at
+    sig ~ 1, i.e. at t ~ 1/2, the center of the tanh-sinh window where
+    nodes are densest; without it the peak drifts to tau ~ a, where large
+    a makes it too narrow for the node spacing.  Near t = 0 the integrand
+    goes like t^(a-1), so a is its weakest endpoint power.
     """
     a = float(a)
     b = float(b)
@@ -153,11 +114,13 @@ def log_kummer_u(a, b, z):
     d = b - a - 1.0
     log_a = math.log(a)
 
-    def integrand(sig, log_sig, rows):
+    def integrand(t, log_t, log_1mt, rows):
+        # sig overflows to inf near t = 1, where e^(-a sig) gives log 0
+        log_sig = log_t - log_1mt
         ln1ptz = np.logaddexp(0.0, log_a + log_sig[None, :] - log_z[rows, None])
-        return a * (log_sig - sig)[None, :] - log_sig[None, :] + d * ln1ptz
+        with np.errstate(over="ignore"):
+            log_g = a * (log_sig - np.exp(log_sig)) - log_sig - 2.0 * log_1mt
+        return log_g[None, :] + d * ln1ptz
 
-    # left window deep enough that the truncated sig^a tail is negligible
-    u_lo = -max(6.75, math.asinh(800.0 / (math.pi * a)))
-    log_i = log_exp_sinh_0inf(integrand, z.size, u_lo=u_lo, u_hi=4.5)
+    log_i = log_tanh_sinh_01(integrand, z.size, power=a)
     return log_i + a * log_a - math.lgamma(a) - a * log_z

@@ -240,6 +240,10 @@ class TestPriorCommand:
         t, pdf = grid.T
         theta = DsdParams(**GENERIC_PARAMS)
         np.testing.assert_allclose(pdf, 2.0 * t * dsd_pdf(t * t, theta), rtol=1e-12)
+        # the sd column reuses the variance grid's pdf, so it matches bit for bit
+        s, s_pdf, _ = np.loadtxt(out / "prior_grid.csv", delimiter=",", skiprows=1).T
+        np.testing.assert_array_equal(t, np.sqrt(s))
+        np.testing.assert_array_equal(pdf, 2.0 * np.sqrt(s) * s_pdf)
 
     def test_numerical_failure_exit_code(self, tmp_path):
         bad = dict(GENERIC_PARAMS)

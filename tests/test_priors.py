@@ -330,6 +330,10 @@ class TestDsdPdf:
         base = B2Params(theta.b * theta.beta_tilde / theta.beta, theta.alpha, theta.q)
         s = np.logspace(-5, 2, 40)
         np.testing.assert_allclose(dsd_pdf(s, theta), b2_pdf(s, base), rtol=1e-12)
+        # the curve measures the reduced density's mass like any other
+        diagnostics = dsd_cdf_quantile(theta).diagnostics
+        assert abs(diagnostics["total_mass"] - 1.0) < 1e-12
+        assert diagnostics["points"] == 257
 
     def test_against_high_precision_oracle(self):
         g = GENERIC

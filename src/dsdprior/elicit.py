@@ -208,7 +208,8 @@ class ComponentPrior:
     """A component's elicited prior: the distribution parameters, the
     quadratic-form weights they came from, the design and structure
     (``effect_map`` of the two carries spherical innovations to
-    predictor-scale effects), the scale solve, and provenance."""
+    predictor-scale effects), the scale solve, and provenance: the package
+    version and the SHA-256 of the weights, which no other field carries."""
 
     params: DsdParams
     weights: QfWeights
@@ -237,8 +238,7 @@ def build_dsd_prior(design, structure, elic):
         raise ValueError(
             f"elicitation n={elic.n} does not match the design's predictor length {design.n}"
         )
-    constrained = structure.rank_deficiency > 0
-    weights = qf_weights(design, structure, constrained=constrained)
+    weights = qf_weights(design, structure, constrained=structure.rank_deficiency > 0)
     approx = gamma_approx(weights)
     solution = solve_scale(elic)
     shape = 0.5 * (elic.n - 1)
@@ -254,11 +254,6 @@ def build_dsd_prior(design, structure, elic):
     provenance = {
         "version": __version__,
         "weights_sha256": hashlib.sha256(np.ascontiguousarray(weights.weights).tobytes()).hexdigest(),
-        "zero_count": weights.zero_count,
-        "constrained": constrained,
-        "pi0": elic.pi0,
-        "c": elic.c,
-        "quantile": solution.quantile,
     }
     return ComponentPrior(
         params=params,

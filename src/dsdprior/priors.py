@@ -17,9 +17,12 @@ CDF/quantile/sampling.  The design-adjusted prior's CDF, quantiles and
 draws come from its product form s = b (beta_tilde / beta) W G_alpha / G_q
 with W ~ Beta(p, alpha_tilde - p), G_alpha ~ Gamma(alpha) and
 G_q ~ Gamma(q) independent: one quadrature over W per CDF point, a
-vectorized root solve for quantiles, and composition for draws.  Its
-closed-form 2F1 density is kept for density values and as an independent
-check of that product form.
+vectorized root solve for quantiles, and composition for draws.  Since
+alpha_tilde <= alpha for every component, the prior lies in the stochastic
+order between two base priors, B2(c, p, q) and B2(c, alpha, q) with
+c = b beta_tilde / beta, and their closed-form quantiles bracket the root
+solve.  Its closed-form 2F1 density is kept for density values and as an
+independent check of that product form.
 """
 
 from __future__ import annotations
@@ -401,9 +404,17 @@ def _quantile(theta, u):
 
     Solves in y = log s, lower tail on log F and upper tail (u > 1/2, where
     1 - u is exact) on log P(s > e^y), by the Illinois method: each step
-    makes one batched quadrature call over the points still open.  The
-    bracket starts at c e^(+-8), c the natural scale, and widens in steps
-    of 8; a quantile outside double range raises ConvergenceError."""
+    makes one batched quadrature call over the points still open.
+
+    The bracket is closed-form.  With c = b beta_tilde / beta, s <= c G_alpha
+    / G_q because W <= 1, and W G_alpha >=st G_p2 because Beta(p, alpha_tilde
+    - p) >=st Beta(p2, alpha - p2), p2 = min(p, p + alpha - alpha_tilde), so
+    B2(c, p2, q) <=st s <=st B2(c, alpha, q) and each quantile lies between
+    theirs.  Every component the pipeline builds has alpha_tilde <= alpha,
+    so p2 = p there.  The bracket is widened by one e-fold each way, so that
+    rounding cannot flip its sign where a bound is exact, and clipped to
+    double range (to its floor where p2 <= 0); a point that the clipped
+    bracket does not hold raises ConvergenceError."""
     if theta.p == theta.alpha_tilde:
         return np.atleast_1d(b2_quantile(u, _reduced_base(theta)))
     upper = u > 0.5
@@ -414,25 +425,23 @@ def _quantile(theta, u):
         # increasing in y, zero at the quantile
         return sign[idx] * (_log_mass(theta, y, upper[idx]) - log_target[idx])
 
+    base = _reduced_base(theta)
+    p2 = min(theta.p, theta.p + theta.alpha - theta.alpha_tilde)
+    lo = np.full(u.size, _LOG_TINY)
+    with np.errstate(divide="ignore", over="ignore"):
+        if p2 > 0.0:
+            lo = np.log(b2_quantile(u, B2Params(base.b, p2, base.q))) - 1.0
+        hi = np.log(b2_quantile(u, base)) + 1.0
+    lo, hi = np.clip(lo, _LOG_TINY, _LOG_HUGE), np.clip(hi, _LOG_TINY, _LOG_HUGE)
     every = np.arange(u.size)
-    y0 = math.log(theta.b * theta.beta_tilde / theta.beta)
-    lo, hi = np.full(u.size, y0 - 8.0), np.full(u.size, y0 + 8.0)
     g_lo, g_hi = gap(lo, every), gap(hi, every)
-    while True:
-        down, up = np.flatnonzero(g_lo > 0.0), np.flatnonzero(g_hi < 0.0)
-        if down.size == 0 and up.size == 0:
-            break
-        if np.any(lo[down] <= _LOG_TINY) or np.any(hi[up] >= _LOG_HUGE):
-            raise ConvergenceError(
-                "prior quantile lies outside double range",
-                u=u[np.concatenate([down, up])],
-                log_bracket=(float(lo.min()), float(hi.max())),
-            )
-        hi[down], g_hi[down] = lo[down], g_lo[down]
-        lo[up], g_lo[up] = hi[up], g_hi[up]
-        lo[down] = np.maximum(lo[down] - 8.0, _LOG_TINY)
-        hi[up] = np.minimum(hi[up] + 8.0, _LOG_HUGE)
-        g_lo[down], g_hi[up] = gap(lo[down], down), gap(hi[up], up)
+    outside = (g_lo > 0.0) | (g_hi < 0.0)
+    if np.any(outside):
+        raise ConvergenceError(
+            "prior quantile lies outside double range",
+            u=u[outside],
+            log_bracket=(float(lo.min()), float(hi.max())),
+        )
 
     out = np.empty(u.size)
     kept = np.zeros(u.size)  # endpoint kept by the last step: -1 lo, +1 hi
@@ -486,7 +495,8 @@ class DsdCurve:
     product form s = b (beta_tilde / beta) W G_alpha / G_q.
 
     The CDF is one tanh-sinh integral over W ~ Beta(p, alpha_tilde - p)
-    per point, and quantiles solve it directly; nothing is tabulated.
+    per point, and quantiles solve it directly inside the closed-form
+    bracket of `_quantile`; nothing is tabulated.
     Construction checks the closed-form density against the product form:
     the 2F1 density, integrated on the log grid of
     `integral_equation_residual`, plus the 2e-12 outside it, must give

@@ -8,7 +8,8 @@ relative error and log-scale output.  Each has one path, tanh-sinh
 quadrature on (0, 1) with log-space accumulation:
 
 * ``log_gauss_2f1_negz`` -- log of Gauss 2F1 restricted to z <= 0 with
-  c > b > 0, through the Euler integral.
+  c > b > 0, through the Euler integral of its Pfaff transform, whose
+  integrand stays bounded for every z when a >= c.
 * ``log_kummer_u`` -- log of Kummer's U for a > 0, z > 0, through the
   Laplace integral, rescaled t -> a sig / z and mapped to (0, 1) by
   sig = t / (1 - t).
@@ -63,8 +64,17 @@ def _validate_2f1_params(a, b, c):
 def log_gauss_2f1_negz(a, b, c, z):
     """log 2F1(a,b;c;z) for an array of z <= 0; requires c > b > 0, a > 0.
 
-    Uses the Euler integral 2F1 = B(b, c-b)^(-1) int_0^1 t^(b-1)
-    (1-t)^(c-b-1) (1 + |z| t)^(-a) dt, whose weakest endpoint power is
+    Uses Pfaff's transformation (DLMF 15.8.1) under the Euler integral:
+    with x = |z| / (1 + |z|),
+
+        2F1(a,b;c;z) = (1 + |z|)^(-b) B(b, c-b)^(-1)
+                       int_0^1 t^(b-1) (1-t)^(c-b-1) (1 - x t)^(a-c) dt,
+
+    where log(1 - x t) = log1p(|z| (1-t)) - log1p(|z|) is formed from
+    logs.  For a >= c, which every design-adjusted prior has up to
+    rounding, the last factor lies in (0, 1], so the integrand's peak does
+    not run off with z however large |z| is; for a < c it grows toward
+    t = 1, to at most (1 + |z|)^(c-a).  Its weakest endpoint power is
     min(b, c - b)."""
     a = float(a)
     b = float(b)
@@ -77,13 +87,15 @@ def log_gauss_2f1_negz(a, b, c, z):
     out = np.zeros(z.shape, dtype=float)
     neg = z < 0.0  # z == 0 -> log 1 = 0 directly
     log_neg_z = np.log(-z[neg])
+    log1p_neg_z = np.logaddexp(0.0, log_neg_z)
 
     def integrand(t, log_t, log_1mt, rows):
-        ln1mzt = np.logaddexp(0.0, log_neg_z[rows, None] + log_t[None, :])
-        return (b - 1.0) * log_t[None, :] + (c - b - 1.0) * log_1mt[None, :] - a * ln1mzt
+        ln1mxt = np.logaddexp(0.0, log_neg_z[rows, None] + log_1mt[None, :])
+        ln1mxt -= log1p_neg_z[rows, None]
+        return (b - 1.0) * log_t[None, :] + (c - b - 1.0) * log_1mt[None, :] + (a - c) * ln1mxt
 
     log_i = log_tanh_sinh_01(integrand, log_neg_z.size, power=min(b, c - b))
-    out[neg] = log_i - log_beta(b, c - b)
+    out[neg] = log_i - log_beta(b, c - b) - b * log1p_neg_z
     return out
 
 

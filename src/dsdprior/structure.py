@@ -31,10 +31,8 @@ __all__ = [
     "build_bspline_basis",
     "build_icar",
     "build_rw",
-    "centering_matrix",
     "effect_map",
     "qf_weights",
-    "scaled_structure",
     "spectral_split",
 ]
 
@@ -156,13 +154,6 @@ class QfWeights:
         self.weights = _as_readonly(np.sort(w))
         self.n_predictor = int(self.n_predictor)
         self.zero_count = int(self.zero_count)
-
-
-def centering_matrix(n: int) -> np.ndarray:
-    """M = I - 11'/n, the projection removing the mean. Requires n >= 2."""
-    if n < 2:
-        raise ValueError("centering needs n >= 2")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
 def build_rw(order: int, n_g: int, circular: bool = False) -> StructureSpec:
@@ -304,20 +295,4 @@ def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> 
         weights=kept,
         n_predictor=n,
         zero_count=int(eigs.size - kept.size) + spec.rank_deficiency,
-    )
-
-
-def scaled_structure(spec: StructureSpec, design: DesignMatrix) -> StructureSpec:
-    """Rescale K so the conditional mean of V is exactly sigma2: multiply
-    the precision by sum(weights) / (n-1), which divides every weight by
-    that factor and makes the recomputed weights sum to n - 1."""
-    w = qf_weights(design, spec, constrained=spec.rank_deficiency > 0)
-    if w.weights.size == 0:
-        raise ValueError("structure has no positive weights to scale against")
-    factor = float(w.weights.sum()) / (w.n_predictor - 1)
-    label = f"{spec.label} (scaled)" if spec.label else "scaled"
-    return StructureSpec(
-        precision=spec.precision * factor,
-        rank_deficiency=spec.rank_deficiency,
-        label=label,
     )

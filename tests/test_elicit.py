@@ -216,8 +216,9 @@ class TestBuildDsdPrior:
         assert abs(comp.params.b - 26.5) / 26.5 < 0.03
         assert comp.params.alpha == (n - 1) / 2.0
         assert effect_map(comp.design, comp.structure).shape == (n, n - 1)
-        for key in ("weights_sha256", "pi0", "c"):
-            assert key in comp.provenance
+        # provenance keeps only what no other field carries
+        assert set(comp.provenance) == {"version", "weights_sha256"}
+        assert (comp.scale.pi0, comp.scale.c) == (0.5, 5.16)
 
     def test_carries_its_design_and_structure(self):
         design = DesignMatrix.identity(20)

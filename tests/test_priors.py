@@ -69,6 +69,21 @@ UNREPRESENTABLE = DsdParams(
 )
 
 
+# the origin exponent that took the 2F1 density to |z| ~ 1e240; below it
+# the prior's lower quantiles leave double range
+SMALL_P = DsdParams(alpha=24.5, beta=24.5, alpha_tilde=1.43, beta_tilde=0.061, b=1.0, p=0.05, q=1.5)
+
+# hand-typed alpha~ > alpha, which no component reaches: the lower bracket
+# law has origin exponent p + alpha - alpha~, 0.3 for the first and
+# below 0 for the second; the third sits one ulp above alpha~ = alpha
+ABOVE_ALPHA = [
+    DsdParams(alpha=1.0, beta=1.0, alpha_tilde=1.2, beta_tilde=0.5, b=2.0, p=0.6, q=1.2),
+    DsdParams(alpha=1.0, beta=1.0, alpha_tilde=5.0, beta_tilde=0.5, b=2.0, p=0.5, q=1.5),
+    DsdParams(alpha=24.5, beta=24.5, alpha_tilde=math.nextafter(24.5, 25.0), beta_tilde=24.5,
+              b=1.0, p=0.5, q=1.5),
+]
+
+
 def _ks_statistic(sorted_draws, cdf_probs):
     n = sorted_draws.size
     k = np.arange(1, n + 1)
@@ -419,6 +434,50 @@ class TestDsdCdfQuantile:
         # double precision; the builder must fail loudly with diagnostics
         with pytest.raises(ConvergenceError):
             dsd_cdf_quantile(UNREPRESENTABLE)
+
+    def test_small_origin_exponent_builds(self):
+        # the density reaches |z| ~ 1e240 in the lower tail, which the
+        # Pfaff-form 2F1 integrand evaluates like any other argument
+        assert abs(dsd_cdf_quantile(SMALL_P).diagnostics["total_mass"] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("p", [0.03, 0.02])
+    def test_smaller_origin_exponent_leaves_double_range(self, p):
+        theta = DsdParams(alpha=24.5, beta=24.5, alpha_tilde=1.43, beta_tilde=0.061,
+                          b=1.0, p=p, q=1.5)
+        with pytest.raises(ConvergenceError, match="outside double range"):
+            dsd_cdf_quantile(theta)
+
+    def test_bracket_laws_bound_the_cdf(self):
+        # alpha~ <= alpha gives B2(c, alpha, q) >=st s >=st B2(c, p, q),
+        # c = b beta~ / beta, so their CDFs bound the prior's; 1e-12 allows
+        # for the quadrature where a bound is exact (iid, boundary)
+        for theta in BATTERY:
+            curve = dsd_cdf_quantile(theta)
+            x = curve.quantile(np.array([1e-3, 0.5, 1.0 - 1e-3]))
+            f = curve.cdf(x)
+            c = theta.b * theta.beta_tilde / theta.beta
+            assert np.all(b2_cdf(x, B2Params(c, theta.alpha, theta.q)) <= f + 1e-12), theta
+            assert np.all(f <= b2_cdf(x, B2Params(c, theta.p, theta.q)) + 1e-12), theta
+
+    @pytest.mark.parametrize("theta", ABOVE_ALPHA, ids=["p2-positive", "p2-negative", "one-ulp"])
+    def test_alpha_tilde_above_alpha_round_trips(self, theta):
+        curve = dsd_cdf_quantile(theta)
+        assert curve.diagnostics["total_mass"] == pytest.approx(1.0, abs=1e-12)
+        u = np.array([1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-6])
+        np.testing.assert_allclose(curve.cdf(curve.quantile(u)), u, rtol=1e-10)
+
+    def test_nonpositive_lower_origin_exponent_brackets_from_the_floor(self, monkeypatch):
+        seen = []
+        original = priors._log_mass
+
+        def spy(theta, y, upper):
+            seen.append(np.array(y))
+            return original(theta, y, upper)
+
+        curve = dsd_cdf_quantile(ABOVE_ALPHA[1])
+        monkeypatch.setattr(priors, "_log_mass", spy)
+        curve.quantile(np.array([0.01, 0.3]))
+        np.testing.assert_array_equal(seen[0], priors._LOG_TINY)
 
     @pytest.mark.parametrize("theta", [GENERIC, BATTERY[4]], ids=["generic", "alpha1017"])
     def test_upper_tail_quantiles_against_survival_reference(self, theta):

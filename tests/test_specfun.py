@@ -92,6 +92,25 @@ class TestGauss2F1NegZ:
             got = _log_2f1(a, b, c, z)
             np.testing.assert_allclose(got, oracles.log_hyp2f1(a, b, c, z), rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [
+            (26.0, 2.0, 2.93),
+            (1018.5, 2.0, 2.235),
+            (5.8, 3.3, 3.8),
+            (26.0, 2.92, 2.93),
+            (184.0, 2.0, 2.93),
+        ],
+        ids=["verify0", "verify1", "verify2", "verify3", "crw2-366"],
+    )
+    def test_extreme_argument_on_prior_shapes(self, a, b, c):
+        # the densities of the verify sets and of crw2(366) reach these |z|
+        # deep in their lower tails, where the untransformed Euler
+        # integrand's peak runs off the quadrature's nodes
+        for z in (-1e128, -1e164, -1e200, -1e300):
+            got = _log_2f1(a, b, c, z)
+            np.testing.assert_allclose(got, oracles.log_hyp2f1(a, b, c, z), rtol=0, atol=1e-10)
+
     def test_log_scale_flag_for_underflowing_values(self):
         # large a with huge |z| drives the value below double range; its
         # log stays finite and accurate

@@ -11,10 +11,8 @@ from dsdprior.structure import (
     build_bspline_basis,
     build_icar,
     build_rw,
-    centering_matrix,
     effect_map,
     qf_weights,
-    scaled_structure,
     spectral_split,
 )
 
@@ -63,23 +61,6 @@ def _sample_effects(spec, count, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((split.range_eigs.size, count))
     return split.range_basis @ (g / np.sqrt(split.range_eigs)[:, None])
-
-
-class TestCenteringMatrix:
-    def test_two_by_two(self):
-        np.testing.assert_array_equal(centering_matrix(2), np.array([[0.5, -0.5], [-0.5, 0.5]]))
-
-    def test_annihilates_constant(self):
-        m = centering_matrix(10)
-        np.testing.assert_allclose(m @ np.ones(10), 0.0, atol=1e-15)
-
-    def test_idempotent(self):
-        m = centering_matrix(7)
-        np.testing.assert_allclose(m @ m, m, atol=1e-14)
-
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            centering_matrix(1)
 
 
 class TestBuildRw:
@@ -273,7 +254,7 @@ class TestQfWeights:
         assert w.weights.size == 5 - 2
         # independent route: eigenvalues of the nonsymmetric product
         # (Z^T M Z) K^-  keeping the nonnull ones
-        m = centering_matrix(50)
+        m = np.eye(50) - 1.0 / 50
         g = z.values.T @ m @ z.values
         oracle = np.linalg.eigvals(g @ np.linalg.pinv(spec.precision))
         oracle = np.sort(oracle.real)[-3:]
@@ -292,7 +273,7 @@ class TestQfWeights:
         w = qf_weights(z, spec, constrained=True)
         assert w.weights.size == 35
         assert w.zero_count == 5
-        m = centering_matrix(48)
+        m = np.eye(48) - 1.0 / 48
         g = z.values.T @ m @ z.values
         oracle = np.linalg.eigvals(g @ np.linalg.pinv(spec.precision))
         oracle = np.sort(oracle.real)[-35:]
@@ -355,30 +336,6 @@ class TestQfWeights:
         assert abs(v.mean() - s1) < 3 * se_mean
         se_var = np.std((v - v.mean()) ** 2, ddof=1) / np.sqrt(v.size)
         assert abs(v.var(ddof=1) - s2) < 3 * se_var
-
-
-class TestScaledStructure:
-    def test_identity_case_unchanged(self):
-        spec = StructureSpec(np.eye(14), 0)
-        scaled = scaled_structure(spec, DesignMatrix.identity(14))
-        np.testing.assert_allclose(scaled.precision, spec.precision, rtol=1e-12)
-
-    def test_normalizes_weight_sum(self):
-        x = np.linspace(-1.0, 1.0, 50)
-        z = build_bspline_basis(x, m=5, degree=3)
-        spec = build_rw(2, 5)
-        scaled = scaled_structure(spec, z)
-        w = qf_weights(z, scaled, constrained=True)
-        np.testing.assert_allclose(w.weights.sum() / (50 - 1), 1.0, rtol=1e-10)
-
-    def test_factor_matches_weight_oracle(self):
-        x = np.linspace(-1.0, 1.0, 50)
-        z = build_bspline_basis(x, m=5, degree=3)
-        spec = build_rw(2, 5)
-        w = qf_weights(z, spec, constrained=True)
-        factor = w.weights.sum() / (50 - 1)
-        scaled = scaled_structure(spec, z)
-        np.testing.assert_allclose(scaled.precision, spec.precision * factor, rtol=1e-12)
 
 
 class TestDesignMatrix:

@@ -1,9 +1,9 @@
 """Deterministic file I/O for the command line front end.
 
-All emitters pin their byte output: floats are always written with 17
-significant digits (enough to round-trip IEEE doubles exactly), JSON
-keys are sorted, and every line ends with LF.  Identical inputs must
-give byte-identical files.
+All emitters pin their byte output: each float is written as
+``repr(float(x))``, the shortest string that reads back to the same
+double, non-finite values are rejected, JSON keys are sorted, and every
+line ends with LF.  Identical inputs must give byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,41 +30,22 @@ def format_float(x):
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return f"{x:.17g}"
+    return repr(x)
 
 
-def _emit(obj, indent):
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(key))}: {_emit(value, indent + 1)}"
-            for key, value in sorted(obj.items())
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        if not items:
-            return "[]"
-        parts = [f"{inner}{_emit(value, indent + 1)}" for value in items]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
+def _plain(obj):
+    # numpy containers and scalars as the Python values json encodes
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def dump_json(obj, path):
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_plain)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_emit(obj, 0))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path):

@@ -16,13 +16,13 @@ All densities have log variants and the base prior has closed-form
 CDF/quantile/sampling.  The design-adjusted prior's CDF, quantiles and
 draws come from its product form s = b (beta_tilde / beta) W G_alpha / G_q
 with W ~ Beta(p, alpha_tilde - p), G_alpha ~ Gamma(alpha) and
-G_q ~ Gamma(q) independent: one quadrature over W per CDF point, a
-vectorized root solve for quantiles, and composition for draws.  Since
-alpha_tilde <= alpha for every component, the prior lies in the stochastic
-order between two base priors, B2(c, p, q) and B2(c, alpha, q) with
-c = b beta_tilde / beta, and their closed-form quantiles bracket the root
-solve.  Its closed-form 2F1 density is kept for density values and as an
-independent check of that product form.
+G_q ~ Gamma(q) independent: one quadrature over W per CDF point, one
+vectorized call of scipy's bracketed `find_root` for quantiles, and
+composition for draws.  Since alpha_tilde <= alpha for every component, the
+prior lies in the stochastic order between two base priors, B2(c, p, q) and
+B2(c, alpha, q) with c = b beta_tilde / beta, and their closed-form
+quantiles bracket the root solve.  Its closed-form 2F1 density serves for
+density values and as an independent check of that product form.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv
+from scipy.optimize.elementwise import find_root
+from scipy.special import betainc, betaincinv, betaln
 
 from ._quad import ConvergenceError, log_tanh_sinh_01
-from .specfun import log_beta, log_gauss_2f1_negz, log_kummer_u
+from .specfun import log_gauss_2f1_negz, log_kummer_u
 
 __all__ = [
     "B2Params",
@@ -197,7 +198,7 @@ def b2_logpdf(s, theta):
     log_tail = np.logaddexp(0.0, math.log(theta.b) - log_s)
     out = (
         theta.q * math.log(theta.b)
-        - log_beta(theta.p, theta.q)
+        - betaln(theta.p, theta.q)
         - (theta.q + 1.0) * log_s
         - (theta.p + theta.q) * log_tail
     )
@@ -309,7 +310,7 @@ def _reduced_base(theta):
 def _log_norm(theta):
     return (
         theta.q * (math.log(theta.b) + math.log(theta.beta_tilde) - math.log(theta.beta))
-        - log_beta(theta.p, theta.q)
+        - betaln(theta.p, theta.q)
         + math.lgamma(theta.alpha_tilde)
         - math.lgamma(theta.q + theta.alpha_tilde)
         + math.lgamma(theta.q + theta.alpha)
@@ -396,15 +397,16 @@ def _log_mass(theta, y, upper):
         return integrand(log_w, log_1mw, log_w + np.log(neg_lws), log_wr, upper[rows])
 
     lower, higher = (log_tanh_sinh_01(piece, y.size, power=min(p, d)) for piece in (below, above))
-    return np.logaddexp(lower, higher) - log_beta(p, d)
+    return np.logaddexp(lower, higher) - betaln(p, d)
 
 
 def _quantile(theta, u):
     """Quantiles of the design-adjusted prior for u in (0, 1), vectorized.
 
     Solves in y = log s, lower tail on log F and upper tail (u > 1/2, where
-    1 - u is exact) on log P(s > e^y), by the Illinois method: each step
-    makes one batched quadrature call over the points still open.
+    1 - u is exact) on log P(s > e^y), by scipy's elementwise `find_root`
+    (Chandrupatla's bracketed method): each of its steps makes one batched
+    quadrature call over the points still open.
 
     The bracket is closed-form.  With c = b beta_tilde / beta, s <= c G_alpha
     / G_q because W <= 1, and W G_alpha >=st G_p2 because Beta(p, alpha_tilde
@@ -414,16 +416,17 @@ def _quantile(theta, u):
     so p2 = p there.  The bracket is widened by one e-fold each way, so that
     rounding cannot flip its sign where a bound is exact, and clipped to
     double range (to its floor where p2 <= 0); a point that the clipped
-    bracket does not hold raises ConvergenceError."""
+    bracket does not hold raises ConvergenceError, as does a solve that
+    does not converge."""
     if theta.p == theta.alpha_tilde:
         return np.atleast_1d(b2_quantile(u, _reduced_base(theta)))
     upper = u > 0.5
     log_target = np.log(np.where(upper, 1.0 - u, u))
     sign = np.where(upper, -1.0, 1.0)
 
-    def gap(y, idx):
+    def gap(y, upper, log_target, sign):
         # increasing in y, zero at the quantile
-        return sign[idx] * (_log_mass(theta, y, upper[idx]) - log_target[idx])
+        return sign * (_log_mass(theta, y, upper) - log_target)
 
     base = _reduced_base(theta)
     p2 = min(theta.p, theta.p + theta.alpha - theta.alpha_tilde)
@@ -433,40 +436,29 @@ def _quantile(theta, u):
             lo = np.log(b2_quantile(u, B2Params(base.b, p2, base.q))) - 1.0
         hi = np.log(b2_quantile(u, base)) + 1.0
     lo, hi = np.clip(lo, _LOG_TINY, _LOG_HUGE), np.clip(hi, _LOG_TINY, _LOG_HUGE)
-    every = np.arange(u.size)
-    g_lo, g_hi = gap(lo, every), gap(hi, every)
-    outside = (g_lo > 0.0) | (g_hi < 0.0)
+    res = find_root(
+        gap,
+        (lo, hi),
+        args=(upper, log_target, sign),
+        tolerances={"xatol": _Y_TOL, "xrtol": 0.0, "fatol": _GAP_TOL, "frtol": 0.0},
+        maxiter=_MAX_STEPS,
+    )
+    outside = res.status == -1
     if np.any(outside):
         raise ConvergenceError(
             "prior quantile lies outside double range",
             u=u[outside],
             log_bracket=(float(lo.min()), float(hi.max())),
         )
-
-    out = np.empty(u.size)
-    kept = np.zeros(u.size)  # endpoint kept by the last step: -1 lo, +1 hi
-    idx = every
-    for _ in range(_MAX_STEPS):
-        a, b, ga, gb = lo[idx], hi[idx], g_lo[idx], g_hi[idx]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            y = b - gb * (b - a) / (gb - ga)
-        y = np.where(np.isfinite(y) & (y > a) & (y < b), y, 0.5 * (a + b))
-        g = gap(y, idx)
-        left, right = g < 0.0, g > 0.0
-        # Illinois: halve the gap of an endpoint kept twice in a row
-        g_lo[idx[right & (kept[idx] == -1)]] *= 0.5
-        g_hi[idx[left & (kept[idx] == 1)]] *= 0.5
-        lo[idx[left]], g_lo[idx[left]] = y[left], g[left]
-        hi[idx[right]], g_hi[idx[right]] = y[right], g[right]
-        kept[idx] = np.where(left, 1, np.where(right, -1, 0))
-        out[idx] = y
-        done = (np.abs(g) <= _GAP_TOL) | (hi[idx] - lo[idx] <= _Y_TOL)
-        idx = idx[~done]
-        if idx.size == 0:
-            return np.exp(out)
-    raise ConvergenceError(
-        "prior quantile solve did not converge", u=u[idx], log_bracket_width=hi[idx] - lo[idx]
-    )
+    if not np.all(res.success):
+        failed = ~res.success
+        raise ConvergenceError(
+            "prior quantile solve did not converge",
+            u=u[failed],
+            status=res.status[failed],
+            log_bracket_width=(res.bracket[1] - res.bracket[0])[failed],
+        )
+    return np.exp(res.x)
 
 
 def _log_grid_integrals(theta, log_kernel):
@@ -495,8 +487,8 @@ class DsdCurve:
     product form s = b (beta_tilde / beta) W G_alpha / G_q.
 
     The CDF is one tanh-sinh integral over W ~ Beta(p, alpha_tilde - p)
-    per point, and quantiles solve it directly inside the closed-form
-    bracket of `_quantile`; nothing is tabulated.
+    per point, and quantiles solve it by one vectorized `find_root` call
+    inside the closed-form bracket of `_quantile`; nothing is tabulated.
     Construction checks the closed-form density against the product form:
     the 2F1 density, integrated on the log grid of
     `integral_equation_residual`, plus the 2e-12 outside it, must give

@@ -1,10 +1,9 @@
 """Numerically robust scalar special functions.
 
-Log-beta is a checked wrapper over scipy's kernel.  The two
-hypergeometric functions are evaluated from scratch through real
-integral representations, because no standard double-precision routine
-covers the parameter/argument ranges needed here with controlled
-relative error and log-scale output.  Each has one path, tanh-sinh
+The two hypergeometric functions are evaluated from scratch through
+real integral representations, because no standard double-precision
+routine covers the parameter/argument ranges needed here with
+controlled relative error and log-scale output.  Each has one path, tanh-sinh
 quadrature on (0, 1) with log-space accumulation:
 
 * ``log_gauss_2f1_negz`` -- log of Gauss 2F1 restricted to z <= 0 with
@@ -27,7 +26,6 @@ from ._quad import ConvergenceError, log_tanh_sinh_01
 
 __all__ = [
     "ConvergenceError",
-    "log_beta",
     "log_gauss_2f1_negz",
     "log_kummer_u",
 ]
@@ -36,15 +34,6 @@ __all__ = [
 def _require(cond, msg):
     if not cond:
         raise ValueError(msg)
-
-
-def log_beta(a, b):
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), for a, b > 0."""
-    a = float(a)
-    b = float(b)
-    _require(math.isfinite(a) and a > 0.0, f"log_beta requires finite a > 0, got {a!r}")
-    _require(math.isfinite(b) and b > 0.0, f"log_beta requires finite b > 0, got {b!r}")
-    return float(_sp.betaln(a, b))
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +84,7 @@ def log_gauss_2f1_negz(a, b, c, z):
         return (b - 1.0) * log_t[None, :] + (c - b - 1.0) * log_1mt[None, :] + (a - c) * ln1mxt
 
     log_i = log_tanh_sinh_01(integrand, log_neg_z.size, power=min(b, c - b))
-    out[neg] = log_i - log_beta(b, c - b) - b * log1p_neg_z
+    out[neg] = log_i - _sp.betaln(b, c - b) - b * log1p_neg_z
     return out
 
 

@@ -479,6 +479,15 @@ class TestDsdCdfQuantile:
         curve.quantile(np.array([0.01, 0.3]))
         np.testing.assert_array_equal(seen[0], priors._LOG_TINY)
 
+    def test_unconverged_quantile_solve_raises(self, monkeypatch):
+        curve = dsd_cdf_quantile(GENERIC)
+        monkeypatch.setattr(priors, "_MAX_STEPS", 2)
+        u = np.array([0.01, 0.5, 0.99])
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            curve.quantile(u)
+        np.testing.assert_array_equal(info.value.diagnostics["u"], u)
+        assert np.all(info.value.diagnostics["log_bracket_width"] > priors._Y_TOL)
+
     @pytest.mark.parametrize("theta", [GENERIC, BATTERY[4]], ids=["generic", "alpha1017"])
     def test_upper_tail_quantiles_against_survival_reference(self, theta):
         curve = dsd_cdf_quantile(theta)

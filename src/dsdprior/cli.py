@@ -7,6 +7,10 @@ input and output file. Outputs never depend on the clock, the host, or
 absolute paths, so rerunning a command with the same config produces
 byte-identical files.
 
+Every input has one source. Seeds, draw counts and all model inputs are
+config keys; the only flag besides --config and --out is prior's
+--grid-points. Integer keys accept 30 or 30.0 but not 2.7 or true.
+
 Exit codes: 0 success, 1 bad usage or bad config, 2 numerical failure
 (the error message and any solver diagnostics go to stderr).
 """
@@ -35,7 +39,7 @@ from ._io import (
     write_matrix_market,
 )
 from ._quad import ConvergenceError
-from .elicit import ElicitationSpec, LikelihoodKind, build_dsd_prior, pseudo_variance, solve_scale
+from .elicit import ElicitationSpec, build_dsd_prior, pseudo_variance, solve_scale
 from .priors import (
     B2Params,
     DsdParams,
@@ -115,6 +119,21 @@ def _require(cfg, key, where="config"):
     return cfg[key]
 
 
+def _integer(cfg, key, default=None, where="config"):
+    """cfg[key], or the default when one is given and the key is absent,
+    as an int: integral numbers such as 30.0 pass, 2.7 and booleans do
+    not."""
+    if default is not None and isinstance(cfg, dict) and key not in cfg:
+        value = default
+    else:
+        value = _require(cfg, key, where)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # config -> library objects
 
@@ -145,18 +164,8 @@ def _read_edge_list(path: Path) -> np.ndarray:
     return adjacency
 
 
-def _structure_from_file(path_str, rank_deficiency, ctx: _RunContext) -> StructureSpec:
-    if rank_deficiency is None:
-        raise ValueError("a structure read from a file needs an explicit 'rank_deficiency'")
-    path = ctx.track_input(ctx.resolve(path_str))
-    return StructureSpec(
-        precision=read_matrix_market(path),
-        rank_deficiency=int(rank_deficiency),
-        label=f"file({path.name})",
-    )
-
-
-def _structure_from_recipe(recipe, rank_deficiency, ctx: _RunContext) -> StructureSpec:
+def _load_structure(cfg, ctx: _RunContext) -> StructureSpec:
+    recipe = _require(cfg, "recipe", "structure config")
     parts = str(recipe).split()
     if len(parts) != 2:
         raise ValueError(f"structure recipe must be '<kind> <argument>', got {recipe!r}")
@@ -173,18 +182,13 @@ def _structure_from_recipe(recipe, rank_deficiency, ctx: _RunContext) -> Structu
         path = ctx.track_input(ctx.resolve(arg))
         return build_icar(_read_edge_list(path))
     if head == "file":
-        return _structure_from_file(arg, rank_deficiency, ctx)
+        # a matrix file does not record its rank deficiency; the config must
+        kappa = _integer(cfg, "rank_deficiency", where="structure config")
+        path = ctx.track_input(ctx.resolve(arg))
+        return StructureSpec(
+            precision=read_matrix_market(path), rank_deficiency=kappa, label=f"file({path.name})"
+        )
     raise ValueError(f"unknown structure recipe {head!r}")
-
-
-def _load_structure(cfg, ctx: _RunContext) -> StructureSpec:
-    if not isinstance(cfg, dict):
-        raise ValueError("structure config must be a JSON object")
-    if "recipe" in cfg:
-        return _structure_from_recipe(cfg["recipe"], cfg.get("rank_deficiency"), ctx)
-    if "path" in cfg:
-        return _structure_from_file(cfg["path"], cfg.get("rank_deficiency"), ctx)
-    raise ValueError("structure config needs either 'recipe' or 'path'")
 
 
 def _load_design(cfg, ctx: _RunContext, n_g: int) -> DesignMatrix:
@@ -200,8 +204,8 @@ def _load_design(cfg, ctx: _RunContext, n_g: int) -> DesignMatrix:
         bounds = cfg.get("bounds")
         return build_bspline_basis(
             np.array(cfg["x"], dtype=float),
-            m=int(_require(cfg, "m", "design config")),
-            degree=int(cfg.get("degree", 3)),
+            m=_integer(cfg, "m", where="design config"),
+            degree=_integer(cfg, "degree", 3, "design config"),
             bounds=tuple(bounds) if bounds is not None else None,
         )
     raise ValueError("design config needs 'values', 'path', or a basis recipe with 'x' and 'm'")
@@ -215,24 +219,18 @@ def _parse_elicitation(cfg, default_n=None) -> ElicitationSpec:
     if has_c == has_likelihood:
         raise ValueError("give exactly one of 'c' or 'likelihood' in the elicitation config")
     if has_c:
-        c = float(cfg["c"])
+        c = cfg["c"]
     else:
         lk = cfg["likelihood"]
-        kind = LikelihoodKind(
-            kind=_require(lk, "kind", "likelihood config"),
-            value=_require(lk, "value", "likelihood config"),
+        c = pseudo_variance(
+            _require(lk, "kind", "likelihood config"), _require(lk, "value", "likelihood config")
         )
-        c = pseudo_variance(kind)
     n = cfg.get("n", default_n)
     if n is None:
         raise ValueError("elicitation config is missing required key 'n'")
-    return ElicitationSpec(
-        n=int(n),
-        c=c,
-        p=float(cfg.get("p", 0.5)),
-        q=float(cfg.get("q", 1.5)),
-        pi0=float(cfg.get("pi0", 0.5)),
-    )
+    # p, q and pi0 fall back to the defaults ElicitationSpec declares
+    given = {key: cfg[key] for key in ("p", "q", "pi0") if key in cfg}
+    return ElicitationSpec(n=n, c=c, **given)
 
 
 def _load_params(cfg) -> DsdParams:
@@ -248,8 +246,8 @@ def _load_params(cfg) -> DsdParams:
 def _weights_from_doc(doc) -> QfWeights:
     return QfWeights(
         weights=np.array(_require(doc, "weights", "weights document"), dtype=float),
-        n_predictor=int(_require(doc, "n_predictor", "weights document")),
-        zero_count=int(_require(doc, "zero_count", "weights document")),
+        n_predictor=_integer(doc, "n_predictor", where="weights document"),
+        zero_count=_integer(doc, "zero_count", where="weights document"),
     )
 
 
@@ -258,7 +256,7 @@ def _weights_from_doc(doc) -> QfWeights:
 
 
 def _cmd_structure(cfg, ctx: _RunContext):
-    spec = _structure_from_recipe(_require(cfg, "recipe"), cfg.get("rank_deficiency"), ctx)
+    spec = _load_structure(cfg, ctx)
     ctx.write_matrix("structure.mtx", spec.precision)
     ctx.write_json(
         "structure.json",
@@ -269,7 +267,7 @@ def _cmd_structure(cfg, ctx: _RunContext):
 def _cmd_weights(cfg, ctx: _RunContext):
     spec = _load_structure(_require(cfg, "structure"), ctx)
     design = _load_design(_require(cfg, "design"), ctx, spec.n_g)
-    constrained = bool(cfg.get("constrained", spec.rank_deficiency > 0))
+    constrained = spec.rank_deficiency > 0
     weights = qf_weights(design, spec, constrained=constrained)
     ctx.write_json(
         "weights.json",
@@ -336,9 +334,8 @@ def _cmd_prior(cfg, ctx: _RunContext):
 
 def _cmd_sample(cfg, ctx: _RunContext):
     theta = _load_params(cfg)
-    count = int(_require(cfg, "count"))
-    seed = ctx.settings["seed"] if ctx.settings["seed"] is not None else int(cfg.get("seed", 0))
-    ctx.settings["seed"] = seed
+    count = _integer(cfg, "count")
+    seed = ctx.settings["seed"] = _integer(cfg, "seed", 0)
     ctx.write_csv("samples.csv", ("s",), (dsd_sample(theta, count, seed=seed),))
 
 
@@ -373,16 +370,10 @@ def _cmd_verify(cfg, ctx: _RunContext):
     verify.json and fails with the numerical exit code if any check
     misses its bound."""
     cfg = cfg or {}
-    mc_draws = (
-        ctx.settings["mc_draws"]
-        if ctx.settings["mc_draws"] is not None
-        else int(cfg.get("mc_draws", 200_000))
-    )
-    seed = ctx.settings["seed"] if ctx.settings["seed"] is not None else int(cfg.get("seed", 0))
+    mc_draws = ctx.settings["mc_draws"] = _integer(cfg, "mc_draws", 200_000)
+    seed = ctx.settings["seed"] = _integer(cfg, "seed", 0)
     if mc_draws < 1000:
         raise ValueError("verify needs mc_draws >= 1000 for its distributional checks")
-    ctx.settings["mc_draws"] = mc_draws
-    ctx.settings["seed"] = seed
 
     checks = []
 
@@ -490,12 +481,6 @@ def _build_parser() -> _Parser:
         sub = subparsers.add_parser(name, help=(runner.__doc__ or "").split("\n")[0] or None)
         sub.add_argument("--config", required=True, help="path to the JSON config file")
         sub.add_argument("--out", required=True, help="output directory")
-        if name in ("sample", "verify"):
-            sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name == "verify":
-            sub.add_argument(
-                "--mc-draws", type=int, default=None, help="override the Monte Carlo budget"
-            )
         if name == "prior":
             sub.add_argument(
                 "--grid-points", type=int, default=512, help="rows in exported density grids"
@@ -508,8 +493,8 @@ def main(argv=None) -> int:
         args = vars(_build_parser().parse_args(argv))
         command = args.pop("command")
         cfg_path = Path(args.pop("config"))
-        # what is left are the command's own flags; each command replaces
-        # them by the values it actually used
+        # what is left are the command's own flags; commands add the
+        # config values they used
         ctx = _RunContext(cfg_dir=cfg_path.parent, out_dir=Path(args.pop("out")), settings=args)
         cfg = load_json(cfg_path)
         ctx.inputs[cfg_path.name] = sha256_file(cfg_path)

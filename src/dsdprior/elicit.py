@@ -1,10 +1,11 @@
 """Elicitation: from a data-variability statement to concrete prior
 parameters.
 
-The chain: a likelihood-specific pseudo-variance gives the bound c, a
+The chain: the bound c is given directly or as `pseudo_variance(kind,
+value)` of a likelihood kind and its one summary statistic, a
 deterministic scale solve of P[b V* <= c] = pi0 gives the base-prior
-scale b, and composing with the component's quadratic-form weights gives
-the full design-adjusted prior.  The same spec always gives
+scale b, and composing with the component's quadratic-form weights
+gives the full design-adjusted prior.  The same spec always gives
 bitwise-identical results.  Monte Carlo appears only in the simulation
 checks, whose results depend only on their seed and draw count.
 """
@@ -30,7 +31,6 @@ __all__ = [
     "ComponentPrior",
     "CrossTerm",
     "ElicitationSpec",
-    "LikelihoodKind",
     "PredictorCheckReport",
     "ScaleSolution",
     "build_dsd_prior",
@@ -46,68 +46,41 @@ _LIKELIHOOD_KINDS = ("gaussian", "binomial_logit", "binomial_probit", "user_supp
 _CHECK_CHUNK = 16384
 
 
-@dataclass(frozen=True)
-class LikelihoodKind:
-    """A likelihood family plus the one summary statistic its
-    pseudo-variance needs: the response sample variance for gaussian,
-    the response mean for the binomial links, or the bound itself."""
+def pseudo_variance(kind, value):
+    """The variability bound c implied by a likelihood kind and the one
+    summary statistic it needs.
 
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in _LIKELIHOOD_KINDS:
-            raise ValueError(f"unknown likelihood kind {self.kind!r}; expected one of {_LIKELIHOOD_KINDS}")
-        value = float(self.value)
-        if not math.isfinite(value):
-            raise ValueError(f"statistic must be finite, got {value!r}")
-        if self.kind in ("gaussian", "user_supplied") and value <= 0.0:
-            raise ValueError(f"{self.kind} statistic must be > 0, got {value!r}")
-        if self.kind in ("binomial_logit", "binomial_probit") and not 0.0 < value < 1.0:
-            raise ValueError(f"{self.kind} mean must lie strictly inside (0, 1), got {value!r}")
-        object.__setattr__(self, "value", value)
-
-    @classmethod
-    def gaussian(cls, sample_variance):
-        return cls("gaussian", sample_variance)
-
-    @classmethod
-    def binomial_logit(cls, mean):
-        return cls("binomial_logit", mean)
-
-    @classmethod
-    def binomial_probit(cls, mean):
-        return cls("binomial_probit", mean)
-
-    @classmethod
-    def user_supplied(cls, c):
-        return cls("user_supplied", c)
-
-
-def pseudo_variance(kind):
-    """The variability bound c implied by a likelihood family.
-
-    gaussian uses the response sample variance directly; the binomial
-    links use the variance of the latent predictor scale implied by the
-    observed mean: 1/(m(1-m)) for logit, m(1-m)/phi(Phi^-1(m))^2 for
-    probit."""
-    if not isinstance(kind, LikelihoodKind):
-        raise TypeError(f"expected LikelihoodKind, got {type(kind).__name__}")
-    if kind.kind == "binomial_logit":
-        return 1.0 / (kind.value * (1.0 - kind.value))
-    if kind.kind == "binomial_probit":
-        z = float(ndtri(kind.value))
-        # 1 / phi(z)^2 = 2 pi exp(z^2)
-        return kind.value * (1.0 - kind.value) * 2.0 * math.pi * math.exp(z * z)
-    return kind.value
+    gaussian takes the response sample variance and user_supplied the
+    bound itself, both as they are and both > 0.  The binomial links
+    take the response mean m in (0, 1) and give the variance of the
+    latent predictor scale it implies: 1/(m(1-m)) for binomial_logit,
+    m(1-m)/phi(Phi^-1(m))^2 for binomial_probit.  Raises ValueError on
+    an unknown kind or a statistic outside its range."""
+    if kind not in _LIKELIHOOD_KINDS:
+        raise ValueError(f"unknown likelihood kind {kind!r}; expected one of {_LIKELIHOOD_KINDS}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"statistic must be finite, got {value!r}")
+    if kind in ("gaussian", "user_supplied"):
+        if value <= 0.0:
+            raise ValueError(f"{kind} statistic must be > 0, got {value!r}")
+        return value
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{kind} mean must lie strictly inside (0, 1), got {value!r}")
+    if kind == "binomial_logit":
+        return 1.0 / (value * (1.0 - value))
+    z = float(ndtri(value))
+    # 1 / phi(z)^2 = 2 pi exp(z^2)
+    return value * (1.0 - value) * 2.0 * math.pi * math.exp(z * z)
 
 
 @dataclass(frozen=True)
 class ElicitationSpec:
     """Inputs of the scale solve: predictor length n (benchmark shape
     and rate are both (n-1)/2), base-prior exponents, and the
-    probability statement P[b V* <= c] = pi0.  The marginal benchmark
-    needs p < 1 + (n-1)/2."""
+    probability statement P[b V* <= c] = pi0.  n must be integral (30 or
+    30.0, not 30.5 or True).  The marginal benchmark needs
+    p < 1 + (n-1)/2."""
 
     n: int
     c: float
@@ -116,7 +89,12 @@ class ElicitationSpec:
     pi0: float = 0.5
 
     def __post_init__(self):
-        n = int(self.n)
+        n = self.n
+        if isinstance(n, float) and n.is_integer():
+            n = int(n)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        n = int(n)
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
         object.__setattr__(self, "n", n)

@@ -105,6 +105,12 @@ def _density(log_density, x, theta):
     return _unwrap(out, x)
 
 
+def _check_count(count):
+    # the rule of qf.sample_v: an integer >= 1, never a truncated float
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError("count must be a positive integer")
+
+
 def _checked_draws(draws):
     bad = int(np.count_nonzero(~(np.isfinite(draws) & (draws > 0.0))))
     if bad:
@@ -237,9 +243,7 @@ def b2_sample(theta, count, seed):
     b W / (1 - W), W ~ Beta(p, q), rounds to 0.  Same (count, seed) gives
     bitwise-identical output; changing b only rescales it.  Raises
     ConvergenceError if a draw is not a positive finite double."""
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_count(count)
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         s = theta.b * (rng.gamma(theta.p, size=count) / rng.gamma(theta.q, size=count))
@@ -548,9 +552,7 @@ def dsd_sample(theta, count, seed):
     goes to numpy.random.default_rng, so a Generator is drawn from in
     place.  Raises ConvergenceError if a draw is not a positive finite
     double."""
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_count(count)
     t = theta
     rng = np.random.default_rng(seed)
     w = 1.0 if t.p == t.alpha_tilde else rng.beta(t.p, t.alpha_tilde - t.p, size=count)

@@ -3,6 +3,7 @@ deterministic-output contract, and the exit-code protocol."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,7 +100,7 @@ class TestWeightsCommand:
             tmp_path / "w.json",
             {
                 "design": {"kind": "identity"},
-                "structure": {"path": str(out1 / "structure.mtx"), "rank_deficiency": 1},
+                "structure": {"recipe": f"file {out1 / 'structure.mtx'}", "rank_deficiency": 1},
             },
         )
         out2 = tmp_path / "out2"
@@ -112,19 +113,40 @@ class TestWeightsCommand:
         )
         np.testing.assert_array_equal(np.array(doc["weights"]), want.weights)
 
-    @pytest.mark.parametrize("form", ["recipe", "path"])
-    def test_structure_file_needs_rank_deficiency(self, tmp_path, capsys, form):
+    def test_structure_file_needs_rank_deficiency(self, tmp_path, capsys):
         out1 = tmp_path / "out1"
         cfg1 = write_config(tmp_path / "s.json", {"recipe": "crw2 17"})
         assert run("structure", "--config", cfg1, "--out", out1) == 0
-        mtx = out1 / "structure.mtx"
-        structure = {"recipe": f"file {mtx}"} if form == "recipe" else {"path": str(mtx)}
+        structure = {"recipe": f"file {out1 / 'structure.mtx'}"}
         cfg = write_config(
             tmp_path / "w.json", {"design": {"kind": "identity"}, "structure": structure}
         )
         capsys.readouterr()
         assert run("weights", "--config", cfg, "--out", tmp_path / "out2") == 1
         assert "'rank_deficiency'" in capsys.readouterr().err
+
+    def test_structure_path_form_is_rejected(self, tmp_path, capsys):
+        # the file recipe is the one way to name a structure file
+        structure = {"path": "k.mtx", "rank_deficiency": 1}
+        cfg = write_config(
+            tmp_path / "w.json", {"design": {"kind": "identity"}, "structure": structure}
+        )
+        assert run("weights", "--config", cfg, "--out", tmp_path / "out") == 1
+        assert "'recipe'" in capsys.readouterr().err
+
+    def test_constrained_follows_rank_deficiency(self, tmp_path):
+        # a 'constrained' key is not read: improper structures are always
+        # constrained, as in build_dsd_prior
+        docs = []
+        for tag, extra in (("plain", {}), ("keyed", {"constrained": False})):
+            cfg = write_config(
+                tmp_path / f"{tag}.json",
+                {"design": {"kind": "identity"}, "structure": {"recipe": "rw2 20"}, **extra},
+            )
+            assert run("weights", "--config", cfg, "--out", tmp_path / tag) == 0
+            docs.append((tmp_path / tag / "weights.json").read_bytes())
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["constrained"] is True
 
     def test_exchangeable_component_has_unit_weights(self, tmp_path):
         cfg = write_config(
@@ -263,16 +285,6 @@ class TestSampleCommand:
         want = dsd_sample(DsdParams(**GENERIC_PARAMS), 500, seed=9)
         np.testing.assert_array_equal(got, want)
 
-    def test_seed_flag_overrides_config(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "cfg.json", {"params": GENERIC_PARAMS, "count": 100, "seed": 9}
-        )
-        out = tmp_path / "out"
-        assert run("sample", "--config", cfg, "--out", out, "--seed", 10) == 0
-        got = np.loadtxt(out / "samples.csv", skiprows=1)
-        want = dsd_sample(DsdParams(**GENERIC_PARAMS), 100, seed=10)
-        np.testing.assert_array_equal(got, want)
-
     def test_numerical_failure_exit_code(self, tmp_path):
         bad = dict(GENERIC_PARAMS)
         bad["p"] = 1e-7
@@ -383,6 +395,10 @@ class TestExitCodes:
     def test_unknown_command(self, tmp_path):
         assert run("frobnicate", "--config", tmp_path / "x", "--out", tmp_path / "o") == 1
 
+    def test_config_that_is_not_an_object(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", [1])
+        assert run("verify", "--config", cfg, "--out", tmp_path / "o") == 1
+
     def test_missing_required_key(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"c": 1.0})
         assert run("elicit", "--config", cfg, "--out", tmp_path / "o") == 1
@@ -394,12 +410,110 @@ class TestExitCodes:
             ("elicit", "--seed"),
             ("elicit", "--mc-draws"),
             ("sample", "--grid-points"),
+            ("sample", "--seed"),
+            ("verify", "--seed"),
+            ("verify", "--mc-draws"),
         ],
     )
     def test_flag_the_command_does_not_read(self, tmp_path, command, flag):
         cfg = write_config(tmp_path / "cfg.json", {"n": 30, "c": 1.0})
         assert run(command, "--config", cfg, "--out", tmp_path / "o", flag, 2) == 1
         assert not (tmp_path / "o").exists()
+
+
+class TestIntegerKeys:
+    """Integer config keys take 30 or 30.0; 2.7 and true exit 1 rather
+    than being truncated."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("sample", {"params": GENERIC_PARAMS, "count": 2.7, "seed": 1}),
+            ("sample", {"params": GENERIC_PARAMS, "count": 2, "seed": 1.9}),
+            ("sample", {"params": GENERIC_PARAMS, "count": True}),
+            ("elicit", {"n": 30.9, "c": 1.0}),
+            ("elicit", {"n": True, "c": 1.0}),
+            ("verify", {"mc_draws": 2000.5}),
+            ("verify", {"seed": True}),
+            (
+                "weights",
+                {
+                    "design": {"kind": "identity"},
+                    "structure": {"recipe": "file k.mtx", "rank_deficiency": 1.5},
+                },
+            ),
+            (
+                "weights",
+                {
+                    "design": {"kind": "basis", "x": [0.0, 0.5, 1.0], "m": 5.5},
+                    "structure": {"recipe": "rw2 5"},
+                },
+            ),
+            (
+                "weights",
+                {
+                    "design": {"kind": "basis", "x": [0.0, 0.5, 1.0], "m": 5, "degree": True},
+                    "structure": {"recipe": "rw2 5"},
+                },
+            ),
+        ],
+    )
+    def test_non_integer_is_rejected(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 1
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_is_the_integer(self, tmp_path):
+        blobs = []
+        for tag, count, seed in (("int", 30, 9), ("float", 30.0, 9.0)):
+            cfg = write_config(
+                tmp_path / f"{tag}.json", {"params": GENERIC_PARAMS, "count": count, "seed": seed}
+            )
+            out = tmp_path / tag
+            assert run("sample", "--config", cfg, "--out", out) == 0
+            blobs.append((out / "samples.csv").read_bytes())
+            assert json.loads((out / "manifest.json").read_text())["settings"] == {"seed": 9}
+        assert blobs[0] == blobs[1]
+        want = dsd_sample(DsdParams(**GENERIC_PARAMS), 30, seed=9)
+        got = np.loadtxt(tmp_path / "int" / "samples.csv", skiprows=1)
+        np.testing.assert_array_equal(got, want)
+
+    def test_integral_float_n_elicits_that_n(self, tmp_path):
+        docs = []
+        for tag, n in (("int", 30), ("float", 30.0)):
+            cfg = write_config(tmp_path / f"{tag}.json", {"n": n, "c": 1.0})
+            assert run("elicit", "--config", cfg, "--out", tmp_path / tag) == 0
+            docs.append((tmp_path / tag / "elicit.json").read_bytes())
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["n"] == 30
+
+
+class TestReadmeFlagTable:
+    def test_table_lists_the_registered_flags(self):
+        # the README's flag table must name exactly the (command, flag)
+        # pairs the parser registers beyond --config and --out
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| flag | commands | meaning |")
+        documented = set()
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            flag_cell, commands_cell = line.split("|")[1:3]
+            flag = re.findall(r"`(--[\w-]+)", flag_cell)[0]
+            documented |= {(cmd, flag) for cmd in re.findall(r"`(\w+)`", commands_cell)}
+        parser = cli._build_parser()
+        (subparsers,) = (a for a in parser._actions if a.choices and a.dest == "command")
+        registered = {
+            (name, option)
+            for name, sub in subparsers.choices.items()
+            for action in sub._actions
+            for option in action.option_strings
+            if option.startswith("--") and option not in ("--config", "--out", "--help")
+        }
+        assert registered == documented
+        assert registered == {("prior", "--grid-points")}
 
 
 class TestImportGraph:

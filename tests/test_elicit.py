@@ -15,7 +15,6 @@ import oracles
 from dsdprior.elicit import (
     ComponentPrior,
     ElicitationSpec,
-    LikelihoodKind,
     build_dsd_prior,
     predictor_prior_check,
     pseudo_variance,
@@ -35,52 +34,59 @@ def _fixed_effect(x):
 
 
 class TestLikelihoodKind:
+    """The likelihood kinds pseudo_variance accepts and the statistic
+    range of each."""
+
     def test_valid_constructors(self):
-        assert LikelihoodKind.gaussian(2.0).kind == "gaussian"
-        assert LikelihoodKind.binomial_logit(0.3).value == 0.3
-        assert LikelihoodKind.binomial_probit(0.7).kind == "binomial_probit"
-        assert LikelihoodKind.user_supplied(5.0).value == 5.0
+        assert pseudo_variance("gaussian", 2) == 2.0
+        assert pseudo_variance("binomial_logit", 0.3) == 1.0 / (0.3 * 0.7)
+        assert pseudo_variance("binomial_probit", 0.7) > 0.0
+        assert pseudo_variance("user_supplied", 5.0) == 5.0
 
     def test_rejects_invalid_statistics(self):
         with pytest.raises(ValueError):
-            LikelihoodKind.gaussian(0.0)
+            pseudo_variance("gaussian", 0.0)
         with pytest.raises(ValueError):
-            LikelihoodKind.binomial_logit(1.0)
+            pseudo_variance("binomial_logit", 1.0)
         with pytest.raises(ValueError):
-            LikelihoodKind.binomial_probit(-0.1)
+            pseudo_variance("binomial_probit", -0.1)
         with pytest.raises(ValueError):
-            LikelihoodKind.user_supplied(0.0)
+            pseudo_variance("user_supplied", 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            pseudo_variance("gaussian", math.inf)
+        with pytest.raises(ValueError, match="unknown likelihood kind"):
+            pseudo_variance("poisson", 1.0)
 
 
 class TestPseudoVariance:
     def test_gaussian_passthrough(self):
-        assert pseudo_variance(LikelihoodKind.gaussian(2.37)) == 2.37
+        assert pseudo_variance("gaussian", 2.37) == 2.37
 
     def test_user_passthrough(self):
-        assert pseudo_variance(LikelihoodKind.user_supplied(5.16)) == 5.16
+        assert pseudo_variance("user_supplied", 5.16) == 5.16
 
     def test_logit_at_half(self):
-        assert pseudo_variance(LikelihoodKind.binomial_logit(0.5)) == pytest.approx(4.0, rel=1e-14)
+        assert pseudo_variance("binomial_logit", 0.5) == pytest.approx(4.0, rel=1e-14)
 
     def test_probit_at_half(self):
         # 0.25 / phi(0)^2 = pi/2
-        got = pseudo_variance(LikelihoodKind.binomial_probit(0.5))
+        got = pseudo_variance("binomial_probit", 0.5)
         assert got == pytest.approx(math.pi / 2.0, rel=1e-12)
 
     def test_logit_inverts_target(self):
         # the mean with y(1-y) = 1/5.16 must map back to 5.16
         ybar = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 / 5.16))
-        got = pseudo_variance(LikelihoodKind.binomial_logit(ybar))
+        got = pseudo_variance("binomial_logit", ybar)
         assert got == pytest.approx(5.16, rel=1e-12)
 
     @pytest.mark.parametrize("mean", [0.05, 0.27, 0.5, 0.9])
     def test_probit_matches_oracle(self, mean):
-        got = pseudo_variance(LikelihoodKind.binomial_probit(mean))
+        got = pseudo_variance("binomial_probit", mean)
         assert got == pytest.approx(oracles.probit_pseudo_variance(mean), rel=1e-12)
 
     def test_probit_increases_away_from_half(self):
-        mid = pseudo_variance(LikelihoodKind.binomial_probit(0.5))
-        edge = pseudo_variance(LikelihoodKind.binomial_probit(0.95))
+        mid = pseudo_variance("binomial_probit", 0.5)
+        edge = pseudo_variance("binomial_probit", 0.95)
         assert edge > mid
 
 
@@ -98,6 +104,13 @@ class TestElicitationSpec:
             ElicitationSpec(n=10, c=1.0, pi0=1.0)
         with pytest.raises(ValueError, match="1 \\+ \\(n-1\\)/2"):
             ElicitationSpec(n=3, c=1.0, p=2.0)
+
+    def test_n_must_be_integral(self):
+        assert ElicitationSpec(n=30.0, c=1.0).n == 30
+        assert ElicitationSpec(n=np.int64(30), c=1.0) == ElicitationSpec(n=30, c=1.0)
+        for bad in (30.9, True, "30"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                ElicitationSpec(n=bad, c=1.0)
 
 
 class TestSolveScale:

@@ -188,6 +188,12 @@ class TestB2Sample:
         theta = B2Params(1.0, 0.5, 1.5)
         np.testing.assert_array_equal(b2_sample(theta, 500, seed=3), b2_sample(theta, 500, seed=3))
 
+    @pytest.mark.parametrize("count", [2.7, 3.0, 0, -1])
+    def test_rejects_bad_count(self, count):
+        # the count rule of qf.sample_v: no float is truncated to a size
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            b2_sample(B2Params(1.0, 0.5, 1.5), count, seed=3)
+
     def test_scale_equivariance(self):
         a = b2_sample(B2Params(1.0, 0.5, 1.5), 1000, seed=11)
         b = b2_sample(B2Params(5.0, 0.5, 1.5), 1000, seed=11)
@@ -500,6 +506,16 @@ class TestDsdSample:
     def test_deterministic(self):
         np.testing.assert_array_equal(
             dsd_sample(GENERIC, 300, seed=17), dsd_sample(GENERIC, 300, seed=17)
+        )
+
+    @pytest.mark.parametrize("count", [2.7, 3.0, 0, -1])
+    def test_rejects_bad_count(self, count):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            dsd_sample(GENERIC, count, seed=17)
+
+    def test_numpy_integer_count_draws_as_int(self):
+        np.testing.assert_array_equal(
+            dsd_sample(GENERIC, np.int64(300), seed=17), dsd_sample(GENERIC, 300, seed=17)
         )
 
     def test_ks_against_cdf(self):

@@ -105,9 +105,10 @@ def _density(log_density, x, theta):
     return _unwrap(out, x)
 
 
-def _check_count(count):
-    # the rule of qf.sample_v: an integer >= 1, never a truncated float
-    if not isinstance(count, (int, np.integer)) or count < 1:
+def check_count(count):
+    """The samplers' count rule (here and in qf.sample_v): an int or
+    numpy integer >= 1; no float is truncated and no bool is a count."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError("count must be a positive integer")
 
 
@@ -243,7 +244,7 @@ def b2_sample(theta, count, seed):
     b W / (1 - W), W ~ Beta(p, q), rounds to 0.  Same (count, seed) gives
     bitwise-identical output; changing b only rescales it.  Raises
     ConvergenceError if a draw is not a positive finite double."""
-    _check_count(count)
+    check_count(count)
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         s = theta.b * (rng.gamma(theta.p, size=count) / rng.gamma(theta.q, size=count))
@@ -552,7 +553,7 @@ def dsd_sample(theta, count, seed):
     goes to numpy.random.default_rng, so a Generator is drawn from in
     place.  Raises ConvergenceError if a draw is not a positive finite
     double."""
-    _check_count(count)
+    check_count(count)
     t = theta
     rng = np.random.default_rng(seed)
     w = 1.0 if t.p == t.alpha_tilde else rng.beta(t.p, t.alpha_tilde - t.p, size=count)

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from ._quad import ConvergenceError
+from .priors import check_count
 from .structure import QfWeights
 
 __all__ = [
@@ -163,8 +164,7 @@ def sample_v(w: QfWeights, sigma2: float, count: int, seed: int) -> np.ndarray:
     two arrays of the requested size."""
     if not (np.isfinite(sigma2) and sigma2 > 0.0):
         raise ValueError("sigma2 must be positive and finite")
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError("count must be a positive integer")
+    check_count(count)
     if w.weights.size == 0:
         raise ValueError("no positive weights")
     rng = np.random.default_rng(seed)

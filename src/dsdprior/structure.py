@@ -50,27 +50,48 @@ def _as_readonly(a):
 @dataclass
 class StructureSpec:
     """Symmetric positive semi-definite precision structure K with a
-    declared rank deficiency (null space dimension)."""
+    declared rank deficiency (null space dimension). spectrum, when
+    given, is all n_g eigenvalues of K in ascending order, known in
+    closed form; it is checked against K's trace and Frobenius norm."""
 
     precision: np.ndarray
     rank_deficiency: int
     label: str = ""
+    spectrum: np.ndarray | None = None
 
     def __post_init__(self):
-        k = np.array(self.precision, dtype=float)
+        k = np.asarray(self.precision, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 1:
             raise ValueError("precision must be a square matrix")
         if not np.all(np.isfinite(k)):
             raise ValueError("precision must be finite")
-        scale = max(1.0, float(np.max(np.abs(k))))
-        if np.max(np.abs(k - k.T)) > 1e-12 * scale:
-            raise ValueError("precision must be symmetric")
+        # an exactly symmetric K, as every builder makes, is its own
+        # symmetric part; one comparison with K' spares the transposed
+        # passes, the slowest part of construction at large n_g
+        if not np.array_equal(k, k.T):
+            scale = max(1.0, float(np.max(np.abs(k))))
+            if np.max(np.abs(k - k.T)) > 1e-12 * scale:
+                raise ValueError("precision must be symmetric")
+            k = (k + k.T) / 2.0
         if not isinstance(self.rank_deficiency, (int, np.integer)):
             raise ValueError("rank_deficiency must be an integer")
         if not 0 <= self.rank_deficiency < k.shape[0]:
             raise ValueError("rank_deficiency must lie in [0, n_g)")
-        self.precision = _as_readonly((k + k.T) / 2.0)
+        self.precision = _as_readonly(k)
         self.rank_deficiency = int(self.rank_deficiency)
+        if self.spectrum is not None:
+            lam = _as_readonly(self.spectrum)
+            ok = (
+                lam.shape == (k.shape[0],)
+                and np.all(np.diff(lam) >= 0.0)
+                and np.isclose(lam.sum(), np.trace(k), rtol=1e-10, atol=0.0)
+                and np.isclose(lam @ lam, np.vdot(k, k), rtol=1e-10, atol=0.0)
+            )
+            if not ok:
+                raise ValueError(
+                    "spectrum must be K's ascending eigenvalues (trace or Frobenius norm differ)"
+                )
+            self.spectrum = lam
 
     @property
     def n_g(self) -> int:
@@ -161,23 +182,39 @@ def build_rw(order: int, n_g: int, circular: bool = False) -> StructureSpec:
     points, K = D'D with D the order-th difference operator. Circular
     variants wrap the differences around; they lose only the constant
     (rank deficiency 1) whereas the line-graph walk of order r loses the
-    full degree-(r-1) polynomial space (rank deficiency r)."""
+    full degree-(r-1) polynomial space (rank deficiency r).
+
+    K is filled stencil by stencil: each row of D adds the outer product
+    of its difference stencil, so the integer entries come out exactly
+    as in D'D. Every walk but rw2 on a line carries its closed-form
+    spectrum (Rue & Held 2005, GMRF, sec. 3.1): 4 sin^2(pi k / 2n) for
+    rw1, 4 sin^2(pi k / n) for crw1 and its square for crw2, with
+    k = 0..n-1; sin keeps relative accuracy where 2 - 2 cos cancels."""
     if order not in (1, 2):
         raise ValueError("walk order must be 1 or 2")
     if n_g < order + 2:
         raise ValueError("need n_g >= order + 2 grid points")
-    eye = np.eye(n_g)
+    stencil = (-1.0, 1.0) if order == 1 else (1.0, -2.0, 1.0)
+    rows = np.arange(n_g if circular else n_g - order)
+    precision = np.zeros((n_g, n_g))
+    for a, ca in enumerate(stencil):
+        for b, cb in enumerate(stencil):
+            # distinct rows of D hit distinct entries for one (a, b); on a
+            # short circle two (a, b) pairs can wrap onto one entry and add
+            precision[(rows + a) % n_g, (rows + b) % n_g] += ca * cb
+    k = np.arange(n_g)
     if circular:
-        if order == 1:
-            d = np.roll(eye, -1, axis=1) - eye
-        else:
-            d = np.roll(eye, -1, axis=1) + np.roll(eye, 1, axis=1) - 2.0 * eye
-        kappa = 1
+        crw1 = 4.0 * np.sin(np.pi * np.minimum(k, n_g - k) / n_g) ** 2
+        spectrum = np.sort(crw1 if order == 1 else crw1**2)
     else:
-        d = np.diff(eye, n=order, axis=0)
-        kappa = order
+        spectrum = 4.0 * np.sin(np.pi * k / (2 * n_g)) ** 2 if order == 1 else None
     tag = f"crw{order}" if circular else f"rw{order}"
-    return StructureSpec(precision=d.T @ d, rank_deficiency=kappa, label=f"{tag}({n_g})")
+    return StructureSpec(
+        precision=precision,
+        rank_deficiency=1 if circular else order,
+        label=f"{tag}({n_g})",
+        spectrum=spectrum,
+    )
 
 
 def build_icar(adjacency: np.ndarray) -> StructureSpec:
@@ -229,25 +266,33 @@ def build_bspline_basis(x, m: int, degree: int = 3, bounds=None) -> DesignMatrix
     return DesignMatrix(values=values, kind="basis", meta=meta)
 
 
-def spectral_split(spec: StructureSpec) -> SpectralSplit:
-    """Symmetric eigendecomposition of K classified against the declared
-    rank deficiency. Eigenvalues below n_g * eps * max_eig are treated
-    as null; their count must equal the declared deficiency, otherwise
-    the declaration is wrong and we refuse to guess."""
-    eigs, vecs = np.linalg.eigh(spec.precision)
+def _null_eigs(eigs: np.ndarray, rank_deficiency: int) -> np.ndarray:
+    """Mask of the null eigenvalues among the ascending eigs of K (or of
+    a congruent copy, which has K's inertia). Eigenvalues below
+    n_g * eps * max_eig are treated as null; their count must equal the
+    declared deficiency, otherwise the declaration is wrong and we refuse
+    to guess."""
     lam_max = float(eigs[-1])
     if lam_max <= 0.0:
         raise ValueError("structure matrix has no positive eigenvalues")
     if eigs[0] < -1e-10 * lam_max:
         raise ValueError("structure matrix is not positive semi-definite")
-    tau = spec.n_g * _EPS * lam_max
+    tau = eigs.size * _EPS * lam_max
     null = eigs < tau
     found = int(np.sum(null))
-    if found != spec.rank_deficiency:
+    if found != rank_deficiency:
         raise ValueError(
-            f"declared rank deficiency {spec.rank_deficiency} but found "
+            f"declared rank deficiency {rank_deficiency} but found "
             f"{found} null eigenvalues (threshold {tau:.3e})"
         )
+    return null
+
+
+def spectral_split(spec: StructureSpec) -> SpectralSplit:
+    """Symmetric eigendecomposition of K classified against the declared
+    rank deficiency (see _null_eigs)."""
+    eigs, vecs = np.linalg.eigh(spec.precision)
+    null = _null_eigs(eigs, spec.rank_deficiency)
     return SpectralSplit(
         null_basis=_as_readonly(vecs[:, null]),
         range_basis=_as_readonly(vecs[:, ~null]),
@@ -264,14 +309,44 @@ def effect_map(design: DesignMatrix, spec: StructureSpec) -> np.ndarray:
     return design.values @ (split.range_basis * split.range_eigs**-0.5)
 
 
+def _weight_reciprocals(design: DesignMatrix, spec: StructureSpec) -> np.ndarray | None:
+    """The range eigenvalues whose reciprocals are the weights, from K's
+    spectrum alone, or None where the weights need the effect map.
+
+    Both cases need 1 in null(K), taken as K's rows summing exactly to 0.
+    Identity design: M E = E, so the weights are 1 / (range eigenvalues
+    of K). Selection design observing every region, with null(K) = span(1):
+    Z'MZ = D^{1/2} (I - ss'/n) D^{1/2} with D = diag(counts), s = sqrt(counts),
+    and that projected D^{1/2} K+ D^{1/2} is the pseudo-inverse of
+    D^{-1/2} K D^{-1/2}, so the weights are 1 / (its range eigenvalues)."""
+    k = spec.precision
+    if np.any(k.sum(axis=1)):
+        return None
+    if design.kind == "identity":
+        eigs = spec.spectrum if spec.spectrum is not None else np.linalg.eigvalsh(k)
+    elif design.kind == "selection" and spec.rank_deficiency == 1:
+        counts = design.values.sum(axis=0)
+        if not np.all(counts > 0.0):
+            return None
+        r = counts**-0.5
+        eigs = np.linalg.eigvalsh(r[:, None] * k * r)
+    else:
+        return None
+    return eigs[~_null_eigs(eigs, spec.rank_deficiency)]
+
+
 def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> QfWeights:
     """Eigenvalue weights of V = nu' M nu / (n-1) under the (possibly
     constrained) Gaussian with structure K and design Z, nu = Z beta.
 
     The conditional law of (n-1) V given sigma2 is sigma2 times a sum of
     weights[k] * chi-squared(1). The weights are the nonzero eigenvalues
-    of (Z'MZ) K^-, computed as those of the Gram matrix (ME)'(ME) of the
-    column-centered effect map, so a single symmetric eigensolve gives
+    of (Z'MZ) K^-. Identity designs, and selection designs that observe
+    every region of a structure whose null space is the constant, take
+    them from one eigenvalues-only solve of K (or of its diagonally
+    scaled copy), or from the closed-form spectrum a walk carries. Every
+    other design takes them from the Gram matrix (ME)'(ME) of the
+    column-centered effect map. Either way a symmetric eigensolve gives
     them in deterministic ascending order.
 
     An improper structure (rank_deficiency > 0) is only meaningful under
@@ -286,13 +361,15 @@ def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> 
             "improper structure (rank deficiency > 0) has no unconstrained "
             "sampling law; pass constrained=True"
         )
-    e = effect_map(design, spec)
-    e -= e.mean(axis=0)  # M E without forming M
-    eigs = np.linalg.eigvalsh(e.T @ e)
-    tau = eigs.size * _EPS * max(float(eigs[-1]), 0.0)
-    kept = eigs[eigs > tau]
-    return QfWeights(
-        weights=kept,
-        n_predictor=n,
-        zero_count=int(eigs.size - kept.size) + spec.rank_deficiency,
-    )
+    if design.m != spec.n_g:
+        raise ValueError("design columns must match the structure size")
+    range_eigs = _weight_reciprocals(design, spec)
+    if range_eigs is not None:
+        kept = 1.0 / range_eigs
+    else:
+        e = effect_map(design, spec)
+        e -= e.mean(axis=0)  # M E without forming M
+        eigs = np.linalg.eigvalsh(e.T @ e)
+        tau = eigs.size * _EPS * max(float(eigs[-1]), 0.0)
+        kept = eigs[eigs > tau]
+    return QfWeights(weights=kept, n_predictor=n, zero_count=spec.n_g - kept.size)

@@ -125,3 +125,26 @@ def probit_pseudo_variance(mean):
     z = mp.sqrt(2) * mp.erfinv(2 * m - 1)
     density = mp.exp(-z * z / 2) / mp.sqrt(2 * mp.pi)
     return float(m * (1 - m) / density**2)
+
+
+def walk_spectrum(kind, n):
+    """Nonzero eigenvalues of an rw1, crw1 or crw2 precision on n points,
+    ascending, from the textbook forms 2 - 2 cos(pi k / n) (rw1),
+    2 - 2 cos(2 pi k / n) (crw1) and its square (crw2), k = 1..n-1."""
+    angle = {"rw1": mp.pi / n, "crw1": 2 * mp.pi / n, "crw2": 2 * mp.pi / n}[kind]
+    power = 2 if kind == "crw2" else 1
+    return sorted(float((2 - 2 * mp.cos(angle * k)) ** power) for k in range(1, n))
+
+
+def centered_effect_weights(z, k):
+    """Nonzero eigenvalues of (Z'MZ) K+ for a structure K whose null
+    space is the constant, ascending: those of the n x n matrix
+    M Z K+ Z' M at 50 digits, with K+ = (K + 11'/n_g)^-1 - 11'/n_g."""
+    n, n_g = len(z), len(k)
+    z = mp.matrix([[mp.mpf(float(v)) for v in row] for row in z])
+    ones = mp.ones(n_g, n_g) / n_g
+    k_plus = (mp.matrix([[mp.mpf(float(v)) for v in row] for row in k]) + ones) ** -1 - ones
+    center = mp.eye(n) - mp.ones(n, n) / n
+    gram = center * z * k_plus * z.T * center
+    eigs = mp.eigsy(gram, eigvals_only=True)
+    return sorted(float(e) for e in eigs)[n - n_g + 1:]

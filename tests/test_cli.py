@@ -106,9 +106,12 @@ class TestWeightsCommand:
         out2 = tmp_path / "out2"
         assert run("weights", "--config", cfg, "--out", out2) == 0
         doc = json.loads((out2 / "weights.json").read_text())
+        # a file carries K but not the walk's closed-form spectrum, so the
+        # bitwise reference is the same K without it
+        walk = build_rw(order=2, n_g=30, circular=True)
         want = qf_weights(
             DesignMatrix.identity(30),
-            build_rw(order=2, n_g=30, circular=True),
+            StructureSpec(precision=walk.precision, rank_deficiency=1),
             constrained=True,
         )
         np.testing.assert_array_equal(np.array(doc["weights"]), want.weights)

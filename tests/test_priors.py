@@ -188,9 +188,10 @@ class TestB2Sample:
         theta = B2Params(1.0, 0.5, 1.5)
         np.testing.assert_array_equal(b2_sample(theta, 500, seed=3), b2_sample(theta, 500, seed=3))
 
-    @pytest.mark.parametrize("count", [2.7, 3.0, 0, -1])
+    @pytest.mark.parametrize("count", [2.7, 3.0, 0, -1, True])
     def test_rejects_bad_count(self, count):
-        # the count rule of qf.sample_v: no float is truncated to a size
+        # the count rule shared with qf.sample_v: no float is truncated to
+        # a size, and a bool is not a count
         with pytest.raises(ValueError, match="count must be a positive integer"):
             b2_sample(B2Params(1.0, 0.5, 1.5), count, seed=3)
 
@@ -508,7 +509,7 @@ class TestDsdSample:
             dsd_sample(GENERIC, 300, seed=17), dsd_sample(GENERIC, 300, seed=17)
         )
 
-    @pytest.mark.parametrize("count", [2.7, 3.0, 0, -1])
+    @pytest.mark.parametrize("count", [2.7, 3.0, 0, -1, True])
     def test_rejects_bad_count(self, count):
         with pytest.raises(ValueError, match="count must be a positive integer"):
             dsd_sample(GENERIC, count, seed=17)

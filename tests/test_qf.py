@@ -215,6 +215,16 @@ class TestSampleV:
         with pytest.raises(ValueError):
             sample_v(_weights([1.0], 3), 1.0, 0, seed=1)
 
+    @pytest.mark.parametrize("count", [2.7, 3.0, -1, True, np.True_])
+    def test_rejects_non_integer_count(self, count):
+        # the count rule of priors.b2_sample and priors.dsd_sample
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            sample_v(_weights([1.0], 3), 1.0, count, seed=1)
+
+    def test_numpy_integer_count_draws_as_int(self):
+        w = _weights([0.5, 2.0], 4)
+        np.testing.assert_array_equal(sample_v(w, 1.0, np.int64(50), seed=3), sample_v(w, 1.0, 50, seed=3))
+
 
 class TestApproximationQuality:
     def test_near_equal_weights_close_to_gamma(self):

@@ -4,6 +4,9 @@ quadratic-form eigenvalue weights."""
 import numpy as np
 import pytest
 
+import oracles
+from dsdprior import structure
+from dsdprior._io import read_matrix_market, write_matrix_market
 from dsdprior.structure import (
     DesignMatrix,
     QfWeights,
@@ -55,6 +58,39 @@ def _connected_by_bfs(adj):
     return len(seen) == n
 
 
+def _random_graph(n, extra, seed):
+    """Adjacency of a random spanning tree on n vertices plus up to
+    `extra` random edges."""
+    rng = np.random.default_rng(seed)
+    adj = np.zeros((n, n))
+    order = rng.permutation(n)
+    for a, b in zip(order, order[1:]):
+        adj[a, b] = adj[b, a] = 1.0
+    for _ in range(extra):
+        a, b = rng.integers(0, n, 2)
+        if a != b:
+            adj[a, b] = adj[b, a] = 1.0
+    return adj
+
+
+def _full_selection(n_g, n, seed):
+    """One-hot rows over n_g regions, each region observed at least once."""
+    rng = np.random.default_rng(seed)
+    regions = rng.permutation(np.concatenate([np.arange(n_g), rng.integers(0, n_g, n - n_g)]))
+    values = np.zeros((n, n_g))
+    values[np.arange(n), regions] = 1.0
+    return DesignMatrix(values=values, kind="selection")
+
+
+def _effect_map_weights(design, spec):
+    """The effect-map route written out: positive eigenvalues of the Gram
+    matrix of the column-centered effect map."""
+    e = effect_map(design, spec)
+    e -= e.mean(axis=0)
+    eigs = np.linalg.eigvalsh(e.T @ e)
+    return eigs[eigs > eigs.size * np.finfo(float).eps * eigs[-1]]
+
+
 def _sample_effects(spec, count, seed):
     """Draw constrained effects nu = U+ gamma+, gamma+ ~ N(0, Lambda+^-1)."""
     split = spectral_split(spec)
@@ -90,6 +126,28 @@ class TestBuildRw:
         assert spec.rank_deficiency == 1
         np.testing.assert_allclose(spec.precision @ np.ones(8), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("circular", [False, True])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_stencil_fill_is_the_difference_product(self, order, circular):
+        # bit for bit against D'D formed densely; on crw2(4) the +-2
+        # offsets wrap onto one entry and must add
+        for n_g in range(order + 2, 13):
+            eye = np.eye(n_g)
+            if not circular:
+                d = np.diff(eye, n=order, axis=0)
+            elif order == 1:
+                d = np.roll(eye, -1, axis=1) - eye
+            else:
+                d = np.roll(eye, -1, axis=1) + np.roll(eye, 1, axis=1) - 2.0 * eye
+            assert build_rw(order, n_g, circular).precision.tobytes() == (d.T @ d).tobytes()
+
+    def test_walks_carry_their_spectrum(self):
+        for order, circular in ((1, False), (1, True), (2, True)):
+            spec = build_rw(order, 40, circular)
+            np.testing.assert_allclose(spec.spectrum, np.linalg.eigvalsh(spec.precision), atol=1e-12)
+            assert spec.spectrum[0] == 0.0
+        assert build_rw(2, 40).spectrum is None
+
     def test_rejects_bad_order_or_size(self):
         with pytest.raises(ValueError):
             build_rw(3, 10)
@@ -111,16 +169,8 @@ class TestBuildIcar:
         assert build_icar(adj).rank_deficiency == 2
 
     def test_random_connected_graph(self):
-        rng = np.random.default_rng(7)
         n = 20
-        adj = np.zeros((n, n))
-        order = rng.permutation(n)
-        for a, b in zip(order, order[1:]):  # random spanning tree
-            adj[a, b] = adj[b, a] = 1.0
-        for _ in range(15):  # extra random edges
-            a, b = rng.integers(0, n, 2)
-            if a != b:
-                adj[a, b] = adj[b, a] = 1.0
+        adj = _random_graph(n, extra=15, seed=7)
         assert _connected_by_bfs(adj)
         spec = build_icar(adj)
         assert spec.rank_deficiency == 1
@@ -171,6 +221,13 @@ class TestStructureSpec:
         with pytest.raises(ValueError):
             StructureSpec(precision=k, rank_deficiency=0)
 
+    def test_rounding_asymmetry_is_averaged_away(self):
+        k = np.eye(3)
+        k[0, 1] = 1e-14
+        spec = StructureSpec(precision=k, rank_deficiency=0)
+        np.testing.assert_array_equal(spec.precision, (k + k.T) / 2.0)
+        assert not spec.precision.flags.writeable
+
     def test_rejects_negative_definite_at_split(self):
         spec = StructureSpec(precision=-np.eye(3), rank_deficiency=0)
         with pytest.raises(ValueError):
@@ -180,6 +237,18 @@ class TestStructureSpec:
         spec = StructureSpec(precision=np.eye(4), rank_deficiency=1)
         with pytest.raises(ValueError):
             spectral_split(spec)
+
+    def test_rejects_spectrum_that_is_not_k_s(self):
+        k = build_rw(1, 6, circular=True)
+        for bad in (2.0 * k.spectrum, k.spectrum[::-1], k.spectrum[1:], np.full(6, 2.0)):
+            with pytest.raises(ValueError, match="spectrum"):
+                StructureSpec(precision=k.precision, rank_deficiency=1, spectrum=bad)
+
+    def test_spectrum_route_keeps_the_rank_check(self):
+        spec = build_rw(1, 12, circular=True)
+        wrong = StructureSpec(precision=spec.precision, rank_deficiency=2, spectrum=spec.spectrum)
+        with pytest.raises(ValueError, match="declared rank deficiency 2 but found 1"):
+            qf_weights(DesignMatrix.identity(12), wrong, constrained=True)
 
 
 class TestSpectralSplit:
@@ -282,16 +351,16 @@ class TestQfWeights:
     def test_circular_walk_against_closed_form_spectrum(self):
         # identity design: the weights are 1 / (range eigenvalues of K),
         # and crw2 has the circulant spectrum (2 - 2 cos(2 pi k / n))^2
-        # (Rue & Held 2005, GMRF, sec. 3.1). Dense eigh gets the smallest
-        # eigenvalue, about (2 pi / n)^4 = 8.8e-8 here, only to an absolute
-        # error of order eps * 16, so the largest weights carry a relative
-        # error of order eps * lambda_max / lambda_min = 4e-8; the
-        # tolerance sits just above that, not at the 9e-9 seen today.
+        # (Rue & Held 2005, GMRF, sec. 3.1), which build_rw carries, so no
+        # eigensolve is involved. The cos form here is the less accurate
+        # side: 2 - 2 cos(x) is exact given cos(x), whose half-ulp rounding
+        # is a relative error of at most 1.1e-16 / (2 pi / n)^2 = 3.8e-13
+        # at k = 1, doubled by the square to 7.5e-13.
         n = 366
         w = qf_weights(DesignMatrix.identity(n), build_rw(2, n, circular=True), constrained=True)
         k = np.arange(1, n)
         closed = np.sort(1.0 / (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) ** 2)
-        np.testing.assert_allclose(w.weights, closed, rtol=1e-7)
+        np.testing.assert_allclose(w.weights, closed, rtol=1e-12)
         assert w.zero_count == 1
 
     def test_orthogonal_reparameterization_invariance(self):
@@ -336,6 +405,108 @@ class TestQfWeights:
         assert abs(v.mean() - s1) < 3 * se_mean
         se_var = np.std((v - v.mean()) ** 2, ddof=1) / np.sqrt(v.size)
         assert abs(v.var(ddof=1) - s2) < 3 * se_var
+
+
+class TestSpectrumRoute:
+    """Weights taken from K's spectrum alone: the closed form a walk
+    carries, or one eigenvalues-only solve of K or of D^-1/2 K D^-1/2."""
+
+    @pytest.mark.parametrize("n", [366, 2000])
+    @pytest.mark.parametrize("kind", ["rw1", "crw1"])
+    def test_walk_weights_match_closed_form(self, kind, n):
+        spec = build_rw(1, n, circular=kind == "crw1")
+        w = qf_weights(DesignMatrix.identity(n), spec, constrained=True)
+        oracle = np.sort(1.0 / np.array(oracles.walk_spectrum(kind, n)))
+        np.testing.assert_allclose(w.weights, oracle, rtol=1e-12)
+        assert w.zero_count == 1
+
+    @pytest.mark.parametrize("order, circular", [(2, True), (1, False)])
+    def test_selection_against_mpmath_oracle(self, order, circular):
+        # 36 rows over all 30 regions; both routes carry a relative error
+        # of order eps * lambda_max / lambda_min, 2e-12 on crw2(30)
+        spec = build_rw(order, 30, circular)
+        z = _full_selection(30, 36, seed=23)
+        w = qf_weights(z, spec, constrained=True)
+        oracle = oracles.centered_effect_weights(z.values, spec.precision)
+        np.testing.assert_allclose(w.weights, oracle, rtol=1e-11)
+        assert w.zero_count == 1
+
+    def test_second_order_line_walk_identity_matches_effect_map(self):
+        # null(K) = span{1, t}: 1/(range eigenvalues) from one eigvalsh
+        spec = build_rw(2, 40)
+        z = DesignMatrix.identity(40)
+        w = qf_weights(z, spec, constrained=True)
+        np.testing.assert_allclose(w.weights, _effect_map_weights(z, spec), rtol=1e-10)
+        assert w.zero_count == 2
+
+    def test_disconnected_icar_identity_matches_effect_map(self):
+        adj = np.zeros((45, 45))
+        adj[:20, :20] = _random_graph(20, extra=10, seed=3)
+        adj[20:, 20:] = _random_graph(25, extra=12, seed=4)
+        spec = build_icar(adj)
+        assert spec.rank_deficiency == 2
+        z = DesignMatrix.identity(45)
+        w = qf_weights(z, spec, constrained=True)
+        np.testing.assert_allclose(w.weights, _effect_map_weights(z, spec), rtol=1e-12)
+        assert w.zero_count == 2
+
+    @pytest.mark.parametrize("case", ["crw2-identity", "icar-identity", "rw1-selection"])
+    def test_needs_no_eigenvectors(self, monkeypatch, case):
+        def refuse(spec):
+            raise AssertionError("spectral_split called")
+
+        monkeypatch.setattr(structure, "spectral_split", refuse)
+        if case == "crw2-identity":
+            spec, z = build_rw(2, 50, circular=True), DesignMatrix.identity(50)
+        elif case == "icar-identity":
+            spec, z = build_icar(_random_graph(30, extra=20, seed=8)), DesignMatrix.identity(30)
+        else:
+            spec, z = build_rw(1, 40), _full_selection(40, 48, seed=9)
+        w = qf_weights(z, spec, constrained=True)
+        assert w.weights.size == spec.n_g - 1
+        assert w.zero_count == 1
+
+    @staticmethod
+    def _fallback_case(case, tmp_path):
+        if case == "unobserved-region":
+            # the 36-of-40 design of the pseudo-inverse oracle test
+            rng = np.random.default_rng(17)
+            regions = np.concatenate([np.arange(36), rng.integers(0, 36, size=12)])
+            values = np.zeros((48, 40))
+            values[np.arange(48), regions] = 1.0
+            return DesignMatrix(values=values, kind="selection"), build_rw(1, 40)
+        if case == "rw2-selection":
+            return _full_selection(30, 36, seed=5), build_rw(2, 30)
+        if case == "iid":
+            return DesignMatrix.identity(25), StructureSpec(np.eye(25), 0)
+        if case == "bspline":
+            return build_bspline_basis(np.linspace(-1.0, 1.0, 50), m=20), build_rw(2, 20)
+        # a weighted graph Laplacian written to and read back from a file,
+        # whose rows sum to rounding residue rather than exactly to 0
+        adj = _random_graph(12, extra=10, seed=8)
+        weighted = adj * np.random.default_rng(8).uniform(0.1, 1.0, adj.shape)
+        weighted = np.triu(weighted, 1) + np.triu(weighted, 1).T
+        write_matrix_market(tmp_path / "k.mtx", np.diag(weighted.sum(axis=1)) - weighted)
+        k = read_matrix_market(tmp_path / "k.mtx")
+        assert np.any(k.sum(axis=1))
+        return DesignMatrix.identity(12), StructureSpec(precision=k, rank_deficiency=1)
+
+    @pytest.mark.parametrize(
+        "case", ["unobserved-region", "rw2-selection", "iid", "bspline", "float-file"]
+    )
+    def test_other_designs_keep_the_effect_map_route(self, monkeypatch, tmp_path, case):
+        z, spec = self._fallback_case(case, tmp_path)
+        calls = []
+
+        def counted(spec, _split=structure.spectral_split):
+            calls.append(spec)
+            return _split(spec)
+
+        monkeypatch.setattr(structure, "spectral_split", counted)
+        w = qf_weights(z, spec, constrained=spec.rank_deficiency > 0)
+        assert calls
+        np.testing.assert_array_equal(w.weights, np.sort(_effect_map_weights(z, spec)))
+        assert w.zero_count == spec.n_g - w.weights.size
 
 
 class TestDesignMatrix:

@@ -12,6 +12,12 @@ which drive everything downstream: under a sum-to-zero constrained
 Gaussian with precision K / sigma2, nu = sqrt(sigma2) E gamma with gamma
 spherical, so V given sigma2 is a weighted sum of chi-squared(1)
 variables whose weights are the nonzero eigenvalues of (ME)'(ME).
+
+Where the weights follow from K's spectrum alone, its eigenvalues come
+from a banded route: K's nonzero pattern is permuted by reverse
+Cuthill-McKee and LAPACK's banded solver takes the permuted band, at a
+cost of order n_g^2 u for half-bandwidth u. A band wider than
+_BAND_FRACTION * n_g takes the dense eigvalsh instead.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.linalg import eigvals_banded
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 __all__ = [
     "DesignMatrix",
@@ -39,6 +46,13 @@ __all__ = [
 _EPS = np.finfo(float).eps
 
 _DESIGN_KINDS = ("identity", "selection", "basis", "covariate-column")
+
+# Widest half-bandwidth, as a fraction of n_g, that takes the banded
+# eigenvalue route. On one BLAS thread the banded route, permutation
+# search included, breaks even with dense eigvalsh near u = 0.05 n_g for
+# n_g from 800 to 2000 (it costs n_g^2 u against n_g^3). Below n_g = 800,
+# where either takes milliseconds, it can lose up to 2 ms.
+_BAND_FRACTION = 0.04
 
 
 def _as_readonly(a):
@@ -136,7 +150,8 @@ class DesignMatrix:
                 raise ValueError("selection kind requires exactly one unit entry per row")
         if self.kind == "covariate-column" and z.shape[1] != 1:
             raise ValueError("covariate-column kind requires a single column")
-        self.values = _as_readonly(z)
+        z.setflags(write=False)  # z is already a private copy
+        self.values = z
 
     @classmethod
     def identity(cls, n: int) -> "DesignMatrix":
@@ -266,19 +281,20 @@ def build_bspline_basis(x, m: int, degree: int = 3, bounds=None) -> DesignMatrix
     return DesignMatrix(values=values, kind="basis", meta=meta)
 
 
-def _null_eigs(eigs: np.ndarray, rank_deficiency: int) -> np.ndarray:
+def _null_eigs(eigs: np.ndarray, rank_deficiency: int, exact: bool = False) -> np.ndarray:
     """Mask of the null eigenvalues among the ascending eigs of K (or of
-    a congruent copy, which has K's inertia). Eigenvalues below
-    n_g * eps * max_eig are treated as null; their count must equal the
-    declared deficiency, otherwise the declaration is wrong and we refuse
-    to guess."""
+    a congruent copy, which has K's inertia). Computed eigenvalues below
+    n_g * eps * max_eig are treated as null; an exact (closed-form)
+    spectrum has exact zeros there, at any n_g. Their count must equal
+    the declared deficiency, otherwise the declaration is wrong and we
+    refuse to guess."""
     lam_max = float(eigs[-1])
     if lam_max <= 0.0:
         raise ValueError("structure matrix has no positive eigenvalues")
     if eigs[0] < -1e-10 * lam_max:
         raise ValueError("structure matrix is not positive semi-definite")
-    tau = eigs.size * _EPS * lam_max
-    null = eigs < tau
+    tau = 0.0 if exact else eigs.size * _EPS * lam_max
+    null = eigs == 0.0 if exact else eigs < tau
     found = int(np.sum(null))
     if found != rank_deficiency:
         raise ValueError(
@@ -309,30 +325,61 @@ def effect_map(design: DesignMatrix, spec: StructureSpec) -> np.ndarray:
     return design.values @ (split.range_basis * split.range_eigs**-0.5)
 
 
+def _symmetric_eigvals(k: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """Ascending eigenvalues of diag(r) K diag(r) (of K when r is None).
+
+    K's nonzero pattern is permuted by reverse Cuthill-McKee; when the
+    permuted half-bandwidth u is at most _BAND_FRACTION * n_g, the entries
+    k_ij r_i r_j fill LAPACK lower band storage for eigvals_banded. A
+    wider band takes the dense eigvalsh. A K with more than
+    n_g (2 u_max + 1) nonzeros has a row wider than that band under any
+    permutation, so it goes dense without the search."""
+    n = k.shape[0]
+    u_max = int(_BAND_FRACTION * n)
+    if np.count_nonzero(k) <= n * (2 * u_max + 1):
+        rows, cols = np.nonzero(k)
+        pattern = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        pos = np.empty(n, dtype=np.intp)
+        pos[reverse_cuthill_mckee(pattern, symmetric_mode=True)] = np.arange(n)
+        i, j = pos[rows], pos[cols]
+        lower = i >= j
+        rows, cols, diag, j = rows[lower], cols[lower], (i - j)[lower], j[lower]
+        u = int(np.max(diag, initial=0))
+        if u <= u_max:
+            vals = k[rows, cols] if r is None else k[rows, cols] * r[rows] * r[cols]
+            band = np.zeros((u + 1, n))
+            band[diag, j] = vals
+            return eigvals_banded(band, lower=True, overwrite_a_band=True)
+    return np.linalg.eigvalsh(k if r is None else r[:, None] * k * r)
+
+
 def _weight_reciprocals(design: DesignMatrix, spec: StructureSpec) -> np.ndarray | None:
     """The range eigenvalues whose reciprocals are the weights, from K's
     spectrum alone, or None where the weights need the effect map.
 
     Both cases need 1 in null(K), taken as K's rows summing exactly to 0.
     Identity design: M E = E, so the weights are 1 / (range eigenvalues
-    of K). Selection design observing every region, with null(K) = span(1):
-    Z'MZ = D^{1/2} (I - ss'/n) D^{1/2} with D = diag(counts), s = sqrt(counts),
-    and that projected D^{1/2} K+ D^{1/2} is the pseudo-inverse of
-    D^{-1/2} K D^{-1/2}, so the weights are 1 / (its range eigenvalues)."""
+    of K), from the closed-form spectrum a walk carries or else from the
+    banded route of _symmetric_eigvals. Selection design observing every
+    region, with null(K) = span(1): Z'MZ = D^{1/2} (I - ss'/n) D^{1/2} with
+    D = diag(counts), s = sqrt(counts), and that projected D^{1/2} K+ D^{1/2}
+    is the pseudo-inverse of D^{-1/2} K D^{-1/2}, so the weights are
+    1 / (its range eigenvalues), again from the banded route."""
     k = spec.precision
     if np.any(k.sum(axis=1)):
         return None
+    exact = False
     if design.kind == "identity":
-        eigs = spec.spectrum if spec.spectrum is not None else np.linalg.eigvalsh(k)
+        exact = spec.spectrum is not None
+        eigs = spec.spectrum if exact else _symmetric_eigvals(k)
     elif design.kind == "selection" and spec.rank_deficiency == 1:
         counts = design.values.sum(axis=0)
         if not np.all(counts > 0.0):
             return None
-        r = counts**-0.5
-        eigs = np.linalg.eigvalsh(r[:, None] * k * r)
+        eigs = _symmetric_eigvals(k, counts**-0.5)
     else:
         return None
-    return eigs[~_null_eigs(eigs, spec.rank_deficiency)]
+    return eigs[~_null_eigs(eigs, spec.rank_deficiency, exact)]
 
 
 def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> QfWeights:
@@ -344,10 +391,12 @@ def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> 
     of (Z'MZ) K^-. Identity designs, and selection designs that observe
     every region of a structure whose null space is the constant, take
     them from one eigenvalues-only solve of K (or of its diagonally
-    scaled copy), or from the closed-form spectrum a walk carries. Every
-    other design takes them from the Gram matrix (ME)'(ME) of the
-    column-centered effect map. Either way a symmetric eigensolve gives
-    them in deterministic ascending order.
+    scaled copy), or from the closed-form spectrum a walk carries. That
+    solve is banded: LAPACK's eigvals_banded on K's reverse Cuthill-McKee
+    band, or dense eigvalsh where the half-bandwidth exceeds
+    _BAND_FRACTION * n_g. Every other design takes them from the Gram
+    matrix (ME)'(ME) of the column-centered effect map. Either way a
+    symmetric eigensolve gives them in deterministic ascending order.
 
     An improper structure (rank_deficiency > 0) is only meaningful under
     the null-space constraint U0' beta = 0; asking for the unconstrained

@@ -5,9 +5,15 @@ and is deliberately independent of the library implementation: the
 library evaluates special functions through its own quadrature rules,
 while these oracles go through mpmath's series/continued-fraction
 machinery.  Agreement between the two is therefore meaningful.
+
+The one exception is crw2_selection_top_weights, a float64 covariance
+form for walks of thousands of points, where a 50-digit solve is out of
+reach.
 """
 
 import mpmath as mp
+import numpy as np
+from scipy.linalg import circulant, eigh
 
 mp.mp.dps = 50
 
@@ -148,3 +154,23 @@ def centered_effect_weights(z, k):
     gram = center * z * k_plus * z.T * center
     eigs = mp.eigsy(gram, eigvals_only=True)
     return sorted(float(e) for e in eigs)[n - n_g + 1:]
+
+
+def crw2_selection_top_weights(counts, top):
+    """The `top` largest weights, ascending, of a second-order circular
+    walk on n = len(counts) points under a selection design that observes
+    point i counts[i] >= 1 times: the top eigenvalues of the covariance
+    form P S K+ S P, with S = diag(s), s = sqrt(counts), P = I - ss'/N,
+    N = sum(counts), and K+ the circulant whose symbol is
+    1 / (16 sin^4(pi k / n)), 0 at k = 0, built by inverse FFT. The
+    largest eigenvalues of a covariance are accurate to a few n eps
+    relative, whereas the precision form D^-1/2 K D^-1/2 loses
+    eps * lambda_max / lambda_min on its smallest ones."""
+    counts = np.asarray(counts, dtype=float)
+    n = counts.size
+    symbol = 16.0 * np.sin(np.pi * np.arange(1, n) / n) ** 4
+    k_plus = circulant(np.fft.ifft(np.concatenate(([0.0], 1.0 / symbol))).real)
+    s = np.sqrt(counts)
+    p = np.eye(n) - np.outer(s, s) / counts.sum()
+    cov = p @ (s[:, None] * k_plus * s) @ p
+    return eigh(cov, eigvals_only=True, subset_by_index=[n - top, n - 1])

@@ -73,6 +73,22 @@ def _random_graph(n, extra, seed):
     return adj
 
 
+def _lattice(rows, cols):
+    """Adjacency of a rows x cols grid graph, numbered row by row."""
+    adj = np.zeros((rows * cols, rows * cols))
+    v = np.arange(rows * cols).reshape(rows, cols)
+    for a, b in ((v[:, :-1], v[:, 1:]), (v[:-1], v[1:])):
+        adj[a.ravel(), b.ravel()] = adj[b.ravel(), a.ravel()] = 1.0
+    return adj
+
+
+def _refuse_dense_eigvalsh(monkeypatch):
+    def refuse(a):
+        raise AssertionError("dense eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
 def _full_selection(n_g, n, seed):
     """One-hot rows over n_g regions, each region observed at least once."""
     rng = np.random.default_rng(seed)
@@ -420,16 +436,72 @@ class TestSpectrumRoute:
         np.testing.assert_allclose(w.weights, oracle, rtol=1e-12)
         assert w.zero_count == 1
 
+    def test_second_order_circular_walk_at_any_n(self):
+        # the closed form's null eigenvalue is an exact 0: at n = 5000 the
+        # smallest range eigenvalue, 16 sin^4(pi / n) = 2.5e-12, lies below
+        # the n eps lambda_max threshold of a computed spectrum
+        spec = build_rw(2, 5000, circular=True)
+        w = qf_weights(DesignMatrix.identity(5000), spec, constrained=True)
+        oracle = np.sort(1.0 / np.array(oracles.walk_spectrum("crw2", 5000)))
+        np.testing.assert_allclose(w.weights, oracle, rtol=1e-12)
+        assert w.zero_count == 1
+
     @pytest.mark.parametrize("order, circular", [(2, True), (1, False)])
-    def test_selection_against_mpmath_oracle(self, order, circular):
+    def test_selection_against_mpmath_oracle(self, monkeypatch, order, circular):
         # 36 rows over all 30 regions; both routes carry a relative error
-        # of order eps * lambda_max / lambda_min, 2e-12 on crw2(30)
+        # of order eps * lambda_max / lambda_min, 2e-12 on crw2(30). The
+        # cut-off sends crw2(30) (half-bandwidth 5) to the dense route and
+        # the 50-digit oracle is too slow at the first banded size, n = 125,
+        # so the cut-off is lifted here to check the banded route itself
         spec = build_rw(order, 30, circular)
         z = _full_selection(30, 36, seed=23)
-        w = qf_weights(z, spec, constrained=True)
         oracle = oracles.centered_effect_weights(z.values, spec.precision)
+        monkeypatch.setattr(structure, "_BAND_FRACTION", 1.0)
+        _refuse_dense_eigvalsh(monkeypatch)
+        w = qf_weights(z, spec, constrained=True)
         np.testing.assert_allclose(w.weights, oracle, rtol=1e-11)
         assert w.zero_count == 1
+
+    def test_large_circular_selection_against_covariance_form(self, monkeypatch):
+        # crw2(1976) observed by 2371 rows, on the banded route. Both the
+        # banded and the dense precision-form solve lose up to
+        # eps * lambda_max / lambda_min (4.2e-5 here) relative on the
+        # smallest range eigenvalues, which give the largest weights; the
+        # covariance form holds those weights to a few n eps
+        spec = build_rw(2, 1976, circular=True)
+        z = _full_selection(1976, 2371, seed=23)
+        reference = oracles.crw2_selection_top_weights(z.values.sum(axis=0), 5)
+        _refuse_dense_eigvalsh(monkeypatch)
+        w = qf_weights(z, spec, constrained=True)
+        kappa = w.weights[-1] / w.weights[0]
+        np.testing.assert_allclose(w.weights[-5:], reference, rtol=np.finfo(float).eps * kappa)
+        assert w.zero_count == 1
+
+    @pytest.mark.parametrize("case", ["rw1-selection", "crw2-selection", "icar-identity", "rw2-identity"])
+    def test_takes_the_banded_route(self, monkeypatch, case):
+        if case == "rw1-selection":
+            spec, z = build_rw(1, 40), _full_selection(40, 48, seed=9)
+        elif case == "crw2-selection":
+            spec, z = build_rw(2, 150, circular=True), _full_selection(150, 180, seed=9)
+        elif case == "icar-identity":
+            spec, z = build_icar(_lattice(8, 50)), DesignMatrix.identity(400)
+        else:
+            spec, z = build_rw(2, 60), DesignMatrix.identity(60)
+        expected = _effect_map_weights(z, spec)
+        _refuse_dense_eigvalsh(monkeypatch)
+        w = qf_weights(z, spec, constrained=True)
+        # both routes are within eps * lambda_max / lambda_min of exact
+        kappa = expected[-1] / expected[0]
+        np.testing.assert_allclose(w.weights, expected, rtol=2.0 * np.finfo(float).eps * kappa)
+        assert w.zero_count == spec.rank_deficiency
+
+    def test_wide_band_keeps_the_dense_route(self):
+        # a random graph with many chords has no narrow band after any
+        # permutation, so it costs what it did: one dense eigvalsh
+        spec = build_icar(_random_graph(80, extra=600, seed=6))
+        eigs = np.linalg.eigvalsh(spec.precision)
+        w = qf_weights(DesignMatrix.identity(80), spec, constrained=True)
+        np.testing.assert_array_equal(w.weights, np.sort(1.0 / eigs[1:]))
 
     def test_second_order_line_walk_identity_matches_effect_map(self):
         # null(K) = span{1, t}: 1/(range eigenvalues) from one eigvalsh
@@ -532,6 +604,13 @@ class TestDesignMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DesignMatrix(values=np.zeros((0, 2)), kind="basis")
+
+    def test_values_are_a_read_only_copy(self):
+        raw = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        dm = DesignMatrix(values=raw, kind="selection")
+        raw[0] = (0.0, 1.0)
+        np.testing.assert_array_equal(dm.values[0], (1.0, 0.0))
+        assert not dm.values.flags.writeable
 
 
 class TestQfWeightsType:

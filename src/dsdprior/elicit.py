@@ -6,8 +6,7 @@ value)` of a likelihood kind and its one summary statistic, a
 deterministic scale solve of P[b V* <= c] = pi0 gives the base-prior
 scale b, and composing with the component's quadratic-form weights
 gives the full design-adjusted prior.  The same spec always gives
-bitwise-identical results.  Monte Carlo appears only in the simulation
-checks, whose results depend only on their seed and draw count.
+bitwise-identical results; no step draws random numbers.
 """
 
 from __future__ import annotations
@@ -23,27 +22,20 @@ from scipy.special import betaincinv, betaln, gammainc, ndtri
 
 from . import __version__
 from ._quad import ConvergenceError, log_tanh_sinh_01
-from .priors import DsdParams, dsd_sample
+from .priors import DsdParams
 from .qf import gamma_approx
-from .structure import DesignMatrix, QfWeights, StructureSpec, effect_map, qf_weights
+from .structure import DesignMatrix, QfWeights, StructureSpec, qf_weights
 
 __all__ = [
     "ComponentPrior",
-    "CrossTerm",
     "ElicitationSpec",
-    "PredictorCheckReport",
     "ScaleSolution",
     "build_dsd_prior",
-    "predictor_prior_check",
     "pseudo_variance",
     "solve_scale",
-    "variance_share_draws",
 ]
 
 _LIKELIHOOD_KINDS = ("gaussian", "binomial_logit", "binomial_probit", "user_supplied")
-
-# draws simulated per pass of predictor_prior_check; bounds its memory
-_CHECK_CHUNK = 16384
 
 
 def pseudo_variance(kind, value):
@@ -184,9 +176,9 @@ def solve_scale(spec):
 class ComponentPrior:
     """A component's elicited prior: the distribution parameters, the
     quadratic-form weights they came from, the design and structure
-    (``effect_map`` of the two carries spherical innovations to
-    predictor-scale effects), the scale solve, and provenance: the package
-    version and the SHA-256 of the weights, which no other field carries."""
+    those weights were computed from, the scale solve, and provenance:
+    the package version and the SHA-256 of the weights, which no other
+    field carries."""
 
     params: DsdParams
     weights: QfWeights
@@ -242,131 +234,3 @@ def build_dsd_prior(design, structure, elic):
         label=f"{design.kind}+{structure.label}",
     )
 
-
-def variance_share_draws(theta, count, seed):
-    """Monte Carlo draws of a component's variance share under the
-    two-moment Gamma approximation: scale from the design-adjusted
-    prior, then Gamma(alpha_tilde, rate beta_tilde / scale)."""
-    rng = np.random.default_rng(seed)
-    s = dsd_sample(theta, count, rng)
-    return rng.gamma(theta.alpha_tilde, s / theta.beta_tilde, size=s.size)
-
-
-@dataclass(frozen=True)
-class CrossTerm:
-    """Monte Carlo mean of one cross-covariance share between two
-    components, with its standard error and 3-SE band verdict."""
-
-    first: int
-    second: int
-    mean: float
-    se: float
-    within_band: bool
-
-
-@dataclass(frozen=True)
-class PredictorCheckReport:
-    """Decomposition of the linear predictor's prior variance share into
-    per-component shares and pairwise cross terms, against the benchmark
-    prediction: total = (number of components) x the exact benchmark
-    mean."""
-
-    component_means: np.ndarray
-    component_ses: np.ndarray
-    cross_terms: tuple
-    total_mean: float
-    total_se: float
-    benchmark_mean: float
-    expected_total: float
-    total_within_band: bool
-    crosses_within_band: bool
-
-    @property
-    def passed(self):
-        return self.total_within_band and self.crosses_within_band
-
-
-def predictor_prior_check(components, mc_draws, seed):
-    """Verify, by simulation, that independent components under their
-    design-adjusted priors add up: E[V_eta] = k x E[benchmark share]
-    with every pairwise cross term centered at zero.  The benchmark mean
-    is exact, (alpha / beta) b p / (q - 1), so the total's 3-SE band
-    holds only the total's own Monte Carlo error.
-
-    Effects are drawn exactly (spherical innovations through each
-    component's effect map, scaled by a prior draw), so the check
-    exercises the full chain rather than the Gamma approximation.  Every
-    component needs q > 1, else the prior mean is infinite.  Results
-    depend only on (seed, mc_draws)."""
-    components = list(components)
-    if not components:
-        raise ValueError("need at least one component")
-    mc_draws = int(mc_draws)
-    if mc_draws < 2:
-        raise ValueError(f"mc_draws must be >= 2, got {mc_draws}")
-    ref = components[0].params
-    for comp in components:
-        t = comp.params
-        if t.q <= 1.0:
-            raise ValueError(
-                f"component has q={t.q!r} <= 1: the prior mean of its variance share is infinite"
-            )
-        if (t.alpha, t.beta, t.b, t.p, t.q) != (ref.alpha, ref.beta, ref.b, ref.p, ref.q):
-            raise ValueError("components do not share a common benchmark (alpha, beta, b, p, q)")
-    n = components[0].design.n
-    if any(comp.design.n != n for comp in components):
-        raise ValueError("components disagree on predictor length")
-    maps = [effect_map(comp.design, comp.structure) for comp in components]
-
-    k = len(components)
-    pairs = [(j, l) for j in range(k) for l in range(j + 1, k)]
-    per_comp = [[] for _ in range(k)]
-    per_pair = [[] for _ in pairs]
-    totals = []
-    rng = np.random.default_rng(seed)
-    denom = n - 1.0
-    done = 0
-    while done < mc_draws:
-        m = min(_CHECK_CHUNK, mc_draws - done)
-        etas = []
-        for comp, e in zip(components, maps):
-            s = dsd_sample(comp.params, m, rng)
-            g = rng.standard_normal((e.shape[1], m))
-            eta = e @ g
-            eta *= np.sqrt(s)[None, :]
-            eta -= eta.mean(axis=0, keepdims=True)
-            etas.append(eta)
-        for j, eta in enumerate(etas):
-            per_comp[j].append(np.einsum("ij,ij->j", eta, eta) / denom)
-        for idx, (j, l) in enumerate(pairs):
-            per_pair[idx].append(np.einsum("ij,ij->j", etas[j], etas[l]) / denom)
-        combined = sum(etas)
-        totals.append(np.einsum("ij,ij->j", combined, combined) / denom)
-        done += m
-
-    def mean_se(chunks):
-        x = np.concatenate(chunks)
-        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
-
-    comp_stats = [mean_se(c) for c in per_comp]
-    total_mean, total_se = mean_se(totals)
-    cross_terms = []
-    for idx, (j, l) in enumerate(pairs):
-        mean, se = mean_se(per_pair[idx])
-        cross_terms.append(
-            CrossTerm(first=j, second=l, mean=mean, se=se, within_band=abs(mean) <= 3.0 * se)
-        )
-    # E[X] = (alpha / beta) E[sigma2] under the base prior, finite for q > 1
-    bench_mean = ref.alpha / ref.beta * ref.b * ref.p / (ref.q - 1.0)
-    expected_total = k * bench_mean
-    return PredictorCheckReport(
-        component_means=np.array([s[0] for s in comp_stats]),
-        component_ses=np.array([s[1] for s in comp_stats]),
-        cross_terms=tuple(cross_terms),
-        total_mean=total_mean,
-        total_se=total_se,
-        benchmark_mean=bench_mean,
-        expected_total=expected_total,
-        total_within_band=abs(total_mean - expected_total) <= 3.0 * total_se,
-        crosses_within_band=all(ct.within_band for ct in cross_terms),
-    )

@@ -1,17 +1,17 @@
 """Design and structure matrices for latent Gaussian model components.
 
 Builders for common intrinsic structures (random walks, graph-based
-conditional autoregressions, penalized spline penalties), the spectral
-split of a rank-deficient precision into null and range parts, the
-effect map E = Z U+ Lambda+^{-1/2} and the eigenvalue weights of the
-centered quadratic form
+conditional autoregressions, penalized spline penalties) and the
+eigenvalue weights of the centered quadratic form
 
     V = nu' M nu / (n - 1),    M = I - 11'/n,
 
 which drive everything downstream: under a sum-to-zero constrained
 Gaussian with precision K / sigma2, nu = sqrt(sigma2) E gamma with gamma
-spherical, so V given sigma2 is a weighted sum of chi-squared(1)
-variables whose weights are the nonzero eigenvalues of (ME)'(ME).
+spherical and E = Z U+ Lambda+^{-1/2} the effect map (U+ and Lambda+
+the range eigenvectors and eigenvalues of K), so V given sigma2 is a
+weighted sum of chi-squared(1) variables whose weights are the nonzero
+eigenvalues of (ME)'(ME).
 
 Where the weights follow from K's spectrum alone, its eigenvalues come
 from a banded route: K's nonzero pattern is permuted by reverse
@@ -33,14 +33,11 @@ from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 __all__ = [
     "DesignMatrix",
     "QfWeights",
-    "SpectralSplit",
     "StructureSpec",
     "build_bspline_basis",
     "build_icar",
     "build_rw",
-    "effect_map",
     "qf_weights",
-    "spectral_split",
 ]
 
 _EPS = np.finfo(float).eps
@@ -87,7 +84,9 @@ class StructureSpec:
             if np.max(np.abs(k - k.T)) > 1e-12 * scale:
                 raise ValueError("precision must be symmetric")
             k = (k + k.T) / 2.0
-        if not isinstance(self.rank_deficiency, (int, np.integer)):
+        if isinstance(self.rank_deficiency, bool) or not isinstance(
+            self.rank_deficiency, (int, np.integer)
+        ):
             raise ValueError("rank_deficiency must be an integer")
         if not 0 <= self.rank_deficiency < k.shape[0]:
             raise ValueError("rank_deficiency must lie in [0, n_g)")
@@ -112,17 +111,6 @@ class StructureSpec:
         return self.precision.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectralSplit:
-    """Eigendecomposition of K split at the rank deficiency: K has
-    orthonormal null basis U0 (n_g x kappa) and range basis U+ with
-    strictly positive eigenvalues, K = U+ diag(eigs) U+'."""
-
-    null_basis: np.ndarray
-    range_basis: np.ndarray
-    range_eigs: np.ndarray
-
-
 @dataclass
 class DesignMatrix:
     """Predictor-to-coefficient map Z (n x m) plus a kind tag that
@@ -142,7 +130,9 @@ class DesignMatrix:
         if self.kind not in _DESIGN_KINDS:
             raise ValueError(f"unknown design kind {self.kind!r}; expected one of {_DESIGN_KINDS}")
         if self.kind == "identity":
-            if z.shape[0] != z.shape[1] or not np.array_equal(z, np.eye(z.shape[0])):
+            # n nonzeros, all on a unit diagonal, is Z = I without a second n x n array
+            n = z.shape[0]
+            if z.shape[1] != n or np.count_nonzero(z) != n or not np.all(np.diagonal(z) == 1.0):
                 raise ValueError("identity kind requires Z = I")
         if self.kind == "selection":
             one_hot = np.all(np.isin(z, (0.0, 1.0))) and np.all(z.sum(axis=1) == 1.0)
@@ -304,25 +294,14 @@ def _null_eigs(eigs: np.ndarray, rank_deficiency: int, exact: bool = False) -> n
     return null
 
 
-def spectral_split(spec: StructureSpec) -> SpectralSplit:
-    """Symmetric eigendecomposition of K classified against the declared
-    rank deficiency (see _null_eigs)."""
+def _effect_map(design: DesignMatrix, spec: StructureSpec) -> np.ndarray:
+    """E = Z U+ Lambda+^{-1/2}, n x (n_g - kappa), from one symmetric
+    eigendecomposition of K split at the declared rank deficiency (see
+    _null_eigs): the constrained effect nu = Z beta is sqrt(sigma2) E gamma
+    with gamma standard normal."""
     eigs, vecs = np.linalg.eigh(spec.precision)
-    null = _null_eigs(eigs, spec.rank_deficiency)
-    return SpectralSplit(
-        null_basis=_as_readonly(vecs[:, null]),
-        range_basis=_as_readonly(vecs[:, ~null]),
-        range_eigs=_as_readonly(eigs[~null]),
-    )
-
-
-def effect_map(design: DesignMatrix, spec: StructureSpec) -> np.ndarray:
-    """E = Z U+ Lambda+^{-1/2}, n x (n_g - kappa): the constrained effect
-    nu = Z beta is sqrt(sigma2) E gamma with gamma standard normal."""
-    if design.m != spec.n_g:
-        raise ValueError("design columns must match the structure size")
-    split = spectral_split(spec)
-    return design.values @ (split.range_basis * split.range_eigs**-0.5)
+    keep = ~_null_eigs(eigs, spec.rank_deficiency)
+    return design.values @ (vecs[:, keep] * eigs[keep] ** -0.5)
 
 
 def _symmetric_eigvals(k: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
@@ -416,7 +395,7 @@ def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> 
     if range_eigs is not None:
         kept = 1.0 / range_eigs
     else:
-        e = effect_map(design, spec)
+        e = _effect_map(design, spec)
         e -= e.mean(axis=0)  # M E without forming M
         eigs = np.linalg.eigvalsh(e.T @ e)
         tau = eigs.size * _EPS * max(float(eigs[-1]), 0.0)

@@ -1,4 +1,4 @@
-"""Tests for design/structure matrix construction, spectral splits and
+"""Tests for design/structure matrix construction, the effect map and
 quadratic-form eigenvalue weights."""
 
 import numpy as np
@@ -14,9 +14,7 @@ from dsdprior.structure import (
     build_bspline_basis,
     build_icar,
     build_rw,
-    effect_map,
     qf_weights,
-    spectral_split,
 )
 
 
@@ -101,7 +99,7 @@ def _full_selection(n_g, n, seed):
 def _effect_map_weights(design, spec):
     """The effect-map route written out: positive eigenvalues of the Gram
     matrix of the column-centered effect map."""
-    e = effect_map(design, spec)
+    e = structure._effect_map(design, spec)
     e -= e.mean(axis=0)
     eigs = np.linalg.eigvalsh(e.T @ e)
     return eigs[eigs > eigs.size * np.finfo(float).eps * eigs[-1]]
@@ -109,10 +107,11 @@ def _effect_map_weights(design, spec):
 
 def _sample_effects(spec, count, seed):
     """Draw constrained effects nu = U+ gamma+, gamma+ ~ N(0, Lambda+^-1)."""
-    split = spectral_split(spec)
+    eigs, vecs = np.linalg.eigh(spec.precision)
+    kappa = spec.rank_deficiency
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((split.range_eigs.size, count))
-    return split.range_basis @ (g / np.sqrt(split.range_eigs)[:, None])
+    g = rng.standard_normal((spec.n_g - kappa, count))
+    return vecs[:, kappa:] @ (g / np.sqrt(eigs[kappa:])[:, None])
 
 
 class TestBuildRw:
@@ -244,15 +243,23 @@ class TestStructureSpec:
         np.testing.assert_array_equal(spec.precision, (k + k.T) / 2.0)
         assert not spec.precision.flags.writeable
 
+    def test_rejects_boolean_rank_deficiency(self):
+        for flag in (True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match="integer"):
+                StructureSpec(precision=np.eye(3), rank_deficiency=flag)
+        assert StructureSpec(precision=np.eye(3), rank_deficiency=np.int64(1)).rank_deficiency == 1
+
     def test_rejects_negative_definite_at_split(self):
+        # rows of -I do not sum to 0, so the weights take the effect map,
+        # whose eigendecomposition of K refuses the indefinite structure
         spec = StructureSpec(precision=-np.eye(3), rank_deficiency=0)
-        with pytest.raises(ValueError):
-            spectral_split(spec)
+        with pytest.raises(ValueError, match="no positive eigenvalues"):
+            qf_weights(DesignMatrix.identity(3), spec, constrained=False)
 
     def test_rejects_declared_rank_mismatch(self):
         spec = StructureSpec(precision=np.eye(4), rank_deficiency=1)
-        with pytest.raises(ValueError):
-            spectral_split(spec)
+        with pytest.raises(ValueError, match="declared rank deficiency 1 but found 0"):
+            qf_weights(DesignMatrix.identity(4), spec, constrained=True)
 
     def test_rejects_spectrum_that_is_not_k_s(self):
         k = build_rw(1, 6, circular=True)
@@ -268,31 +275,35 @@ class TestStructureSpec:
 
 
 class TestSpectralSplit:
+    """The split of K at its declared rank deficiency that the effect map
+    E = Z U+ Lambda+^{-1/2} takes; with an identity design E = U+ Lambda+^{-1/2}."""
+
     def test_full_rank_identity(self):
-        split = spectral_split(StructureSpec(np.eye(6), 0))
-        assert split.null_basis.shape == (6, 0)
-        np.testing.assert_allclose(split.range_eigs, 1.0, atol=1e-14)
-        np.testing.assert_allclose(split.range_basis.T @ split.range_basis, np.eye(6), atol=1e-10)
+        e = structure._effect_map(DesignMatrix.identity(6), StructureSpec(np.eye(6), 0))
+        assert e.shape == (6, 6)
+        np.testing.assert_allclose(e.T @ e, np.eye(6), atol=1e-10)
 
     def test_first_order_walk_null_is_constant(self):
-        split = spectral_split(build_rw(1, 10))
-        u0 = split.null_basis[:, 0]
-        np.testing.assert_allclose(abs(u0 @ (np.ones(10) / np.sqrt(10))), 1.0, atol=1e-12)
+        e = structure._effect_map(DesignMatrix.identity(10), build_rw(1, 10))
+        assert e.shape == (10, 9)
+        # the range is the orthogonal complement of the constant
+        np.testing.assert_allclose(np.ones(10) @ e, 0.0, atol=1e-12)
 
     def test_second_order_walk_null_is_linear_span(self):
-        split = spectral_split(build_rw(2, 30))
+        e = structure._effect_map(DesignMatrix.identity(30), build_rw(2, 30))
+        assert e.shape == (30, 28)
         basis = np.stack([np.ones(30), np.arange(30.0)], axis=1)
         q, _ = np.linalg.qr(basis)
-        # U0 must lie inside span{1, t}: projection residual below 1e-9
-        resid = split.null_basis - q @ (q.T @ split.null_basis)
-        assert np.linalg.norm(resid) < 1e-9
+        # span{1, t} is orthogonal to every range direction: residual below 1e-9
+        u = e / np.linalg.norm(e, axis=0)
+        assert np.linalg.norm(q.T @ u) < 1e-9
 
     def test_orthonormal_block_and_reconstruction(self):
+        # E'KE = I on the range, and E E' = K+, whose pseudo-inverse is K
         spec = build_rw(2, 17)
-        split = spectral_split(spec)
-        u = np.hstack([split.null_basis, split.range_basis])
-        np.testing.assert_allclose(u.T @ u, np.eye(17), atol=1e-10)
-        rebuilt = split.range_basis @ np.diag(split.range_eigs) @ split.range_basis.T
+        e = structure._effect_map(DesignMatrix.identity(17), spec)
+        np.testing.assert_allclose(e.T @ spec.precision @ e, np.eye(15), atol=1e-10)
+        rebuilt = np.linalg.pinv(e @ e.T, hermitian=True)
         err = np.linalg.norm(rebuilt - spec.precision) / np.linalg.norm(spec.precision)
         assert err < 1e-9
 
@@ -301,16 +312,15 @@ class TestEffectMap:
     def test_whitens_the_structure_on_its_range(self):
         # identity design: E = U+ Lambda+^{-1/2}, so E'KE = I and U0'E = 0
         spec = build_rw(2, 25)
-        e = effect_map(DesignMatrix.identity(25), spec)
+        e = structure._effect_map(DesignMatrix.identity(25), spec)
         assert e.shape == (25, 23)
         np.testing.assert_allclose(e.T @ spec.precision @ e, np.eye(23), atol=1e-9)
-        assert np.max(np.abs(spectral_split(spec).null_basis.T @ e)) < 1e-9
+        u0 = np.linalg.eigh(spec.precision)[1][:, :2]
+        assert np.max(np.abs(u0.T @ e)) < 1e-9
 
     def test_rejects_wrong_column_count(self):
         z = DesignMatrix.identity(11)
         spec = build_rw(1, 12)
-        with pytest.raises(ValueError, match="structure size"):
-            effect_map(z, spec)
         with pytest.raises(ValueError, match="structure size"):
             qf_weights(z, spec, constrained=True)
 
@@ -405,7 +415,7 @@ class TestQfWeights:
         # identity design: sampled constrained effects are orthogonal to U0
         spec = build_rw(2, 25)
         nu = _sample_effects(spec, count=64, seed=5)
-        u0 = spectral_split(spec).null_basis
+        u0 = np.linalg.eigh(spec.precision)[1][:, :2]
         assert np.max(np.abs(u0.T @ nu)) < 1e-9
 
     def test_sampled_moments_match_weight_sums(self):
@@ -524,10 +534,10 @@ class TestSpectrumRoute:
 
     @pytest.mark.parametrize("case", ["crw2-identity", "icar-identity", "rw1-selection"])
     def test_needs_no_eigenvectors(self, monkeypatch, case):
-        def refuse(spec):
-            raise AssertionError("spectral_split called")
+        def refuse(design, spec):
+            raise AssertionError("_effect_map called")
 
-        monkeypatch.setattr(structure, "spectral_split", refuse)
+        monkeypatch.setattr(structure, "_effect_map", refuse)
         if case == "crw2-identity":
             spec, z = build_rw(2, 50, circular=True), DesignMatrix.identity(50)
         elif case == "icar-identity":
@@ -570,11 +580,11 @@ class TestSpectrumRoute:
         z, spec = self._fallback_case(case, tmp_path)
         calls = []
 
-        def counted(spec, _split=structure.spectral_split):
+        def counted(design, spec, _map=structure._effect_map):
             calls.append(spec)
-            return _split(spec)
+            return _map(design, spec)
 
-        monkeypatch.setattr(structure, "spectral_split", counted)
+        monkeypatch.setattr(structure, "_effect_map", counted)
         w = qf_weights(z, spec, constrained=spec.rank_deficiency > 0)
         assert calls
         np.testing.assert_array_equal(w.weights, np.sort(_effect_map_weights(z, spec)))
@@ -588,8 +598,21 @@ class TestDesignMatrix:
         np.testing.assert_array_equal(dm.values, np.eye(5))
 
     def test_identity_kind_requires_identity_values(self):
-        with pytest.raises(ValueError):
-            DesignMatrix(values=np.ones((3, 3)), kind="identity")
+        near_one = np.eye(3)
+        near_one[1, 1] = np.nextafter(1.0, 2.0)
+        subnormal = np.eye(3)
+        subnormal[0, 2] = 5e-324
+        not_identity = (
+            np.ones((3, 3)),
+            np.eye(3)[[1, 2, 0]],  # a permutation: n unit entries, off the diagonal
+            near_one,
+            subnormal,
+            np.eye(4)[:, :3],  # I with a row appended
+            np.eye(3)[:2],
+        )
+        for values in not_identity:
+            with pytest.raises(ValueError, match="Z = I"):
+                DesignMatrix(values=values, kind="identity")
 
     def test_selection_kind_requires_one_hot_rows(self):
         good = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])

@@ -263,7 +263,7 @@ class TestMarginalEquality:
 
 
 class TestPredictorVarianceDecomposition:
-    def test_every_component_has_the_benchmark_mean(self):
+    def test_three_heterogeneous_components_add_up(self):
         # E[V_j | s] = s sum(lambda) / (n - 1) = s alpha~ / beta~, and the
         # design-adjusted prior has E[s] = b (beta~ / beta) (p / alpha~)
         # alpha / (q - 1), so E[V_j] = b p alpha / (beta (q - 1)) whatever
@@ -285,10 +285,10 @@ class TestPredictorVarianceDecomposition:
                 StructureSpec(precision=np.eye(1), rank_deficiency=0, label="iid(1)"),
             ),
             (build_bspline_basis(np.linspace(-1.0, 1.0, n), m=8, degree=3), build_rw(order=2, n_g=8)),
-            (DesignMatrix.identity(n), build_rw(order=1, n_g=n)),
         )
         for q in (1.5, 3.0):
             elic = ElicitationSpec(n=n, c=1.0, q=q)
+            total = 0.0
             for design, structure in components:
                 comp = build_dsd_prior(design, structure, elic)
                 t = comp.params
@@ -304,6 +304,8 @@ class TestPredictorVarianceDecomposition:
                 mean_v = comp.weights.weights.sum() / (n - 1) * mean_s
                 bench = t.b * t.p * t.alpha / (t.beta * (t.q - 1.0))
                 assert mean_v == pytest.approx(bench, rel=1e-12), (q, structure.label)
+                total += mean_v
+            assert total == pytest.approx(3.0 * bench, rel=1e-12), q
 
 
 class TestDocumentedScope:

@@ -1,6 +1,7 @@
 """Tests for elicitation: pseudo-variance targets, the deterministic
-solve for the base-prior scale, and end-to-end component prior
-construction."""
+solve for the base-prior scale, end-to-end component prior construction,
+and the prior mean of a component's variance share on the predictor
+scale."""
 
 import math
 
@@ -273,3 +274,30 @@ class TestMarginalEquality:
         v_grid = b2_quantile(np.linspace(0.01, 0.99, 25), B2Params(t.b, t.p, t.q))
         for comp in (iid, walk):
             assert integral_equation_residual(comp.params, v_grid).max_rel_error < 1e-4
+
+
+class TestPredictorPriorCheck:
+    def test_single_component_matches_benchmark(self):
+        # the prior-side check on the predictor scale: a component's
+        # variance share has prior mean b p alpha / (beta (q - 1)), the
+        # benchmark mean, here for a rank-deficient walk on Z = I; E[s] is
+        # integrated over y = log s, the window and reasoning as in
+        # test_acceptance.TestPredictorVarianceDecomposition
+        n = 40
+        for q in (1.5, 3.0):
+            comp = build_dsd_prior(
+                DesignMatrix.identity(n), build_rw(order=1, n_g=n), ElicitationSpec(n=n, c=1.0, q=q)
+            )
+            t = comp.params
+            log_b = np.log(t.b)
+            mean_s, _ = quad(
+                lambda y: np.exp(2.0 * y) * float(dsd_pdf(np.exp(y), t)),
+                log_b - 60.0,
+                log_b + 160.0,
+                epsabs=0.0,
+                epsrel=1e-13,
+                limit=200,
+            )
+            mean_v = comp.weights.weights.sum() / (n - 1) * mean_s
+            bench = t.b * t.p * t.alpha / (t.beta * (t.q - 1.0))
+            assert mean_v == pytest.approx(bench, rel=1e-12), q

@@ -82,7 +82,10 @@ def write_matrix_market(path, a):
 
 
 def read_matrix_market(path):
-    return np.asarray(scipy.io.mmread(path), dtype=float)
+    # read-only, so a StructureSpec or DesignMatrix keeps it without a copy
+    a = np.asarray(scipy.io.mmread(path), dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 def sha256_file(path):

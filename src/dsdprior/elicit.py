@@ -175,15 +175,12 @@ def solve_scale(spec):
 @dataclass(frozen=True)
 class ComponentPrior:
     """A component's elicited prior: the distribution parameters, the
-    quadratic-form weights they came from, the design and structure
-    those weights were computed from, the scale solve, and provenance:
-    the package version and the SHA-256 of the weights, which no other
-    field carries."""
+    quadratic-form weights they came from, the scale solve, and
+    provenance: the package version and the SHA-256 of the weights,
+    which no other field carries."""
 
     params: DsdParams
     weights: QfWeights
-    design: DesignMatrix
-    structure: StructureSpec
     scale: ScaleSolution
     provenance: dict = field(repr=False)
     label: str = ""
@@ -195,8 +192,8 @@ def build_dsd_prior(design, structure, elic):
     design-adjusted prior parameters.
 
     Improper structures are automatically put under the null-space
-    constraint.  The returned ComponentPrior carries the DsdParams plus
-    everything needed to audit or redo the computation."""
+    constraint.  The returned ComponentPrior carries the DsdParams, the
+    weights they came from and the scale solve."""
     if not isinstance(design, DesignMatrix):
         raise TypeError(f"design must be DesignMatrix, got {type(design).__name__}")
     if not isinstance(structure, StructureSpec):
@@ -227,8 +224,6 @@ def build_dsd_prior(design, structure, elic):
     return ComponentPrior(
         params=params,
         weights=weights,
-        design=design,
-        structure=structure,
         scale=solution,
         provenance=provenance,
         label=f"{design.kind}+{structure.label}",

@@ -10,7 +10,7 @@ with lambda the quadratic-form weights from the structure module. This
 module provides the exact CDF of Q (Ruben's Gamma-mixture series, for
 every weight vector: with equal weights it is one exact term), the
 two-moment Gamma approximation of V that the closed-form priors build
-on, exact conditional moments, and seeded simulation of V.
+on, and seeded simulation of V.
 
 The series converges at the rate 1 - rho/lambda_max with rho near
 2 lambda_min, so it raises ConvergenceError when lambda_max/lambda_min
@@ -34,7 +34,6 @@ __all__ = [
     "ConvergenceError",
     "GammaApprox",
     "gamma_approx",
-    "qf_moments",
     "ruben_cdf",
     "sample_v",
 ]
@@ -64,7 +63,8 @@ class GammaApprox:
 def gamma_approx(w: QfWeights) -> GammaApprox:
     """Match the first two conditional moments of V with a Gamma law:
     alpha~ = (sum lambda)^2 / (2 sum lambda^2),
-    beta~  = ((n-1)/2) * sum lambda / sum lambda^2."""
+    beta~  = ((n-1)/2) * sum lambda / sum lambda^2,
+    so the fit's mean and variance are V's exact ones at sigma2 = 1."""
     lam = w.weights
     if lam.size == 0:
         raise ValueError("no positive weights to approximate")
@@ -74,16 +74,6 @@ def gamma_approx(w: QfWeights) -> GammaApprox:
         alpha_tilde=s1**2 / (2.0 * s2),
         beta_tilde=(w.n_predictor - 1) / 2.0 * s1 / s2,
     )
-
-
-def qf_moments(w: QfWeights, sigma2: float) -> tuple[float, float]:
-    """Exact conditional mean and variance of V given sigma2."""
-    if not (np.isfinite(sigma2) and sigma2 > 0.0):
-        raise ValueError("sigma2 must be positive and finite")
-    d = w.n_predictor - 1
-    mean = sigma2 * float(np.sum(w.weights)) / d
-    variance = sigma2**2 * 2.0 * float(np.sum(w.weights**2)) / d**2
-    return mean, variance
 
 
 _MAX_TERMS = 10000

@@ -22,7 +22,7 @@ _BAND_FRACTION * n_g takes the dense eigvalsh instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -53,9 +53,19 @@ _BAND_FRACTION = 0.04
 
 
 def _as_readonly(a):
+    # a read-only float64 array owning its data, as the builders hand over
+    # (see _frozen), is kept; anything else is copied, so no caller can change it
+    owned = type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
+    if owned and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass
@@ -114,18 +124,17 @@ class StructureSpec:
 @dataclass
 class DesignMatrix:
     """Predictor-to-coefficient map Z (n x m) plus a kind tag that
-    records how it was built; meta carries builder details (knots on a
-    spline basis, and so on)."""
+    records how it was built."""
 
     values: np.ndarray
     kind: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        z = np.array(self.values, dtype=float)
+        z = _as_readonly(self.values)
         if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
             raise ValueError("design matrix must be 2-d and non-empty")
-        if not np.all(np.isfinite(z)):
+        # min and max are NaN where an entry is and meet any inf, with no n x m mask
+        if not np.all(np.isfinite((z.min(), z.max()))):
             raise ValueError("design matrix must be finite")
         if self.kind not in _DESIGN_KINDS:
             raise ValueError(f"unknown design kind {self.kind!r}; expected one of {_DESIGN_KINDS}")
@@ -140,12 +149,11 @@ class DesignMatrix:
                 raise ValueError("selection kind requires exactly one unit entry per row")
         if self.kind == "covariate-column" and z.shape[1] != 1:
             raise ValueError("covariate-column kind requires a single column")
-        z.setflags(write=False)  # z is already a private copy
         self.values = z
 
     @classmethod
     def identity(cls, n: int) -> "DesignMatrix":
-        return cls(values=np.eye(n), kind="identity")
+        return cls(values=_frozen(np.eye(n)), kind="identity")
 
     @property
     def n(self) -> int:
@@ -215,7 +223,7 @@ def build_rw(order: int, n_g: int, circular: bool = False) -> StructureSpec:
         spectrum = 4.0 * np.sin(np.pi * k / (2 * n_g)) ** 2 if order == 1 else None
     tag = f"crw{order}" if circular else f"rw{order}"
     return StructureSpec(
-        precision=precision,
+        precision=_frozen(precision),
         rank_deficiency=1 if circular else order,
         label=f"{tag}({n_g})",
         spectrum=spectrum,
@@ -237,7 +245,7 @@ def build_icar(adjacency: np.ndarray) -> StructureSpec:
         raise ValueError("adjacency entries must be 0 or 1")
     kappa, _ = connected_components(csr_matrix(w), directed=False)
     precision = np.diag(w.sum(axis=1)) - w
-    return StructureSpec(precision=precision, rank_deficiency=int(kappa), label="icar")
+    return StructureSpec(precision=_frozen(precision), rank_deficiency=int(kappa), label="icar")
 
 
 def build_bspline_basis(x, m: int, degree: int = 3, bounds=None) -> DesignMatrix:
@@ -262,13 +270,7 @@ def build_bspline_basis(x, m: int, degree: int = 3, bounds=None) -> DesignMatrix
     dx = (hi - lo) / n_seg
     knots = lo + dx * np.arange(-degree, n_seg + degree + 1)
     values = BSpline.design_matrix(x, knots, degree, extrapolate=False).toarray()
-    meta = {
-        "knots": [float(t) for t in knots],
-        "degree": int(degree),
-        "bounds": (lo, hi),
-        "placement": "uniform",
-    }
-    return DesignMatrix(values=values, kind="basis", meta=meta)
+    return DesignMatrix(values=_frozen(values), kind="basis")
 
 
 def _null_eigs(eigs: np.ndarray, rank_deficiency: int, exact: bool = False) -> np.ndarray:
@@ -336,29 +338,36 @@ def _weight_reciprocals(design: DesignMatrix, spec: StructureSpec) -> np.ndarray
     """The range eigenvalues whose reciprocals are the weights, from K's
     spectrum alone, or None where the weights need the effect map.
 
-    Both cases need 1 in null(K), taken as K's rows summing exactly to 0.
-    Identity design: M E = E, so the weights are 1 / (range eigenvalues
-    of K), from the closed-form spectrum a walk carries or else from the
-    banded route of _symmetric_eigvals. Selection design observing every
-    region, with null(K) = span(1): Z'MZ = D^{1/2} (I - ss'/n) D^{1/2} with
+    Both cases need 1 to be an eigenvector of K: K's rows all sum exactly
+    to one value r. Identity design: M K^- keeps K^-'s eigenpairs but
+    that of 1, so the weights are 1 / (range eigenvalues of K) less the
+    one nearest r (none where r = 0: 1 is then null), from the closed-form
+    spectrum a walk carries or else the banded route of _symmetric_eigvals.
+    Selection design observing every region, with null(K) = span(1)
+    (r = 0, rank deficiency 1): Z'MZ = D^{1/2} (I - ss'/n) D^{1/2} with
     D = diag(counts), s = sqrt(counts), and that projected D^{1/2} K+ D^{1/2}
     is the pseudo-inverse of D^{-1/2} K D^{-1/2}, so the weights are
     1 / (its range eigenvalues), again from the banded route."""
     k = spec.precision
-    if np.any(k.sum(axis=1)):
+    row_sums = k.sum(axis=1)
+    r = float(row_sums[0])
+    if np.any(row_sums != r):
         return None
     exact = False
     if design.kind == "identity":
         exact = spec.spectrum is not None
         eigs = spec.spectrum if exact else _symmetric_eigvals(k)
-    elif design.kind == "selection" and spec.rank_deficiency == 1:
+    elif design.kind == "selection" and spec.rank_deficiency == 1 and r == 0.0:
         counts = design.values.sum(axis=0)
         if not np.all(counts > 0.0):
             return None
         eigs = _symmetric_eigvals(k, counts**-0.5)
     else:
         return None
-    return eigs[~_null_eigs(eigs, spec.rank_deficiency, exact)]
+    keep = ~_null_eigs(eigs, spec.rank_deficiency, exact)
+    if r != 0.0:
+        keep[np.argmin(np.abs(eigs - r))] = False
+    return eigs[keep]
 
 
 def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> QfWeights:
@@ -367,13 +376,13 @@ def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> 
 
     The conditional law of (n-1) V given sigma2 is sigma2 times a sum of
     weights[k] * chi-squared(1). The weights are the nonzero eigenvalues
-    of (Z'MZ) K^-. Identity designs, and selection designs that observe
-    every region of a structure whose null space is the constant, take
-    them from one eigenvalues-only solve of K (or of its diagonally
-    scaled copy), or from the closed-form spectrum a walk carries. That
-    solve is banded: LAPACK's eigvals_banded on K's reverse Cuthill-McKee
-    band, or dense eigvalsh where the half-bandwidth exceeds
-    _BAND_FRACTION * n_g. Every other design takes them from the Gram
+    of (Z'MZ) K^-. Identity designs on a K with equal row sums, and
+    selection designs observing every region of a K with null space
+    span(1), take them from one eigenvalues-only solve of K (or of its
+    diagonally scaled copy), or from the closed-form spectrum a walk
+    carries. That solve is banded: LAPACK's eigvals_banded on K's
+    reverse Cuthill-McKee band, or dense eigvalsh where the half-bandwidth
+    exceeds _BAND_FRACTION * n_g. Every other design takes them from the Gram
     matrix (ME)'(ME) of the column-centered effect map. Either way a
     symmetric eigensolve gives them in deterministic ascending order.
 

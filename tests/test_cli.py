@@ -55,6 +55,24 @@ class TestStructureCommand:
         np.testing.assert_array_equal(k, build_rw(order=1, n_g=3).precision)
         assert json.loads((out / "structure.json").read_text())["rank_deficiency"] == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n1 x\n", "edges.txt:2: expected two integer indices, got '1 x'"),
+            ("0 1\n1 2.0\n", "edges.txt:2: expected two integer indices, got '1 2.0'"),
+            ("# ring\n0 1 2\n", "edges.txt:2: expected two integer indices, got '0 1 2'"),
+            ("0 1\n\n2 -1\n", "edges.txt:3: vertex indices must be nonnegative"),
+            ("0 1\n1 1\n", "edges.txt:2: self loops are not allowed"),
+            ("# no edges\n\n", "edges.txt: edge list is empty"),
+        ],
+        ids=["bad-token", "float-token", "three-columns", "negative", "self-loop", "empty"],
+    )
+    def test_edge_list_rejections_name_their_line(self, tmp_path, capsys, text, message):
+        (tmp_path / "edges.txt").write_text(text)
+        cfg = write_config(tmp_path / "cfg.json", {"recipe": "icar edges.txt"})
+        assert run("structure", "--config", cfg, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_file_recipe_round_trips_bitwise(self, tmp_path):
         cfg1 = write_config(tmp_path / "a.json", {"recipe": "crw2 17"})
         out1 = tmp_path / "out1"
@@ -353,6 +371,14 @@ class TestVerifyCommand:
         } <= names
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["settings"] == {"mc_draws": 30_000, "seed": 5}
+
+    def test_single_weight_check_compares_independent_code(self, tmp_path):
+        # the series' single term against erf: agreement to rounding, not 0 by construction
+        cfg = write_config(tmp_path / "cfg.json", {"mc_draws": 2_000})
+        assert run("verify", "--config", cfg, "--out", tmp_path / "out") == 0
+        checks = json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]
+        (single,) = [check for check in checks if check["name"] == "weighted-chi2[single]"]
+        assert 0.0 < single["statistic"] <= single["threshold"] == 1e-10
 
 
 class TestManifest:

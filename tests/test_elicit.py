@@ -220,24 +220,15 @@ class TestBuildDsdPrior:
 
     def test_seasonal_component_full_pipeline(self):
         n = 366
-        comp = build_dsd_prior(
-            DesignMatrix.identity(n),
-            build_rw(order=2, n_g=n, circular=True),
-            ElicitationSpec(n=n, c=5.16),
-        )
+        design = DesignMatrix.identity(n)
+        seasonal = build_rw(order=2, n_g=n, circular=True)
+        comp = build_dsd_prior(design, seasonal, ElicitationSpec(n=n, c=5.16))
         assert abs(comp.params.b - 26.5) / 26.5 < 0.03
         assert comp.params.alpha == (n - 1) / 2.0
-        assert structure._effect_map(comp.design, comp.structure).shape == (n, n - 1)
+        assert structure._effect_map(design, seasonal).shape == (n, n - 1)
         # provenance keeps only what no other field carries
         assert set(comp.provenance) == {"version", "weights_sha256"}
         assert (comp.scale.pi0, comp.scale.c) == (0.5, 5.16)
-
-    def test_carries_its_design_and_structure(self):
-        design = DesignMatrix.identity(20)
-        structure = build_rw(order=1, n_g=20)
-        comp = build_dsd_prior(design, structure, ElicitationSpec(n=20, c=1.0))
-        assert comp.design is design
-        assert comp.structure is structure
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -273,7 +264,7 @@ class TestMarginalEquality:
         t = iid.params
         v_grid = b2_quantile(np.linspace(0.01, 0.99, 25), B2Params(t.b, t.p, t.q))
         for comp in (iid, walk):
-            assert integral_equation_residual(comp.params, v_grid).max_rel_error < 1e-4
+            assert integral_equation_residual(comp.params, v_grid).max() < 1e-4
 
 
 class TestPredictorPriorCheck:

@@ -547,8 +547,9 @@ class TestDsdSample:
 
 class TestIntegralEquation:
     def test_iid_case_residual(self):
-        report = integral_equation_residual(BATTERY[1], np.logspace(-2, 1, 12))
-        assert report.max_rel_error < 1e-8
+        rel = integral_equation_residual(BATTERY[1], np.logspace(-2, 1, 12))
+        assert rel.shape == (12,)
+        assert rel.max() < 1e-8
 
     def test_unsettled_grid_raises(self, monkeypatch):
         # the iid case needs 1025 points; with the grid capped at 257 its
@@ -563,8 +564,7 @@ class TestIntegralEquation:
                            p=GENERIC.p, q=GENERIC.q)
         probe = np.sort(twoF0_sample(marg, 200_000, seed=41))
         v_grid = np.quantile(probe, np.linspace(0.01, 0.99, 25))
-        report = integral_equation_residual(GENERIC, v_grid)
-        assert report.max_rel_error < 1e-4
+        assert integral_equation_residual(GENERIC, v_grid).max() < 1e-4
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from dsdprior._quad import ConvergenceError
 from dsdprior.qf import (
     GammaApprox,
     gamma_approx,
-    qf_moments,
     ruben_cdf,
     sample_v,
 )
@@ -85,7 +84,7 @@ class TestGammaApprox:
             n = int(rng.integers(3, 200))
             w = rng.gamma(1.5, 2.0, size=rng.integers(1, 40)) + 1e-8
             g = gamma_approx(_weights(w, n))
-            mean, var = qf_moments(_weights(w, n), 1.0)
+            mean, var = w.sum() / (n - 1), 2.0 * (w**2).sum() / (n - 1) ** 2
             assert g.alpha_tilde / g.beta_tilde == pytest.approx(mean, rel=1e-12)
             assert g.alpha_tilde / g.beta_tilde**2 == pytest.approx(var, rel=1e-12)
 
@@ -98,28 +97,6 @@ class TestGammaApprox:
             GammaApprox(alpha_tilde=0.0, beta_tilde=1.0)
         with pytest.raises(ValueError):
             GammaApprox(alpha_tilde=1.0, beta_tilde=-2.0)
-
-
-class TestQfMoments:
-    def test_iid_mean_is_sigma2(self):
-        mean, _ = qf_moments(_weights(np.ones(9), 10), 1.0)
-        assert mean == pytest.approx(1.0, rel=1e-15)
-
-    def test_hand_arithmetic(self):
-        mean, var = qf_moments(_weights([1.0, 2.0, 3.0], 4), 2.0)
-        assert mean == pytest.approx(4.0, rel=1e-14)
-        assert var == pytest.approx(4.0 * 28.0 / 9.0, rel=1e-14)
-
-    def test_mean_scales_with_sigma2(self):
-        w = _weights([0.3, 1.7], 6)
-        m1, v1 = qf_moments(w, 1.0)
-        m2, v2 = qf_moments(w, 3.0)
-        assert m2 == pytest.approx(3.0 * m1, rel=1e-14)
-        assert v2 == pytest.approx(9.0 * v1, rel=1e-14)
-
-    def test_rejects_bad_sigma2(self):
-        with pytest.raises(ValueError):
-            qf_moments(_weights([1.0], 5), 0.0)
 
 
 class TestRubenCdf:
@@ -201,7 +178,8 @@ class TestSampleV:
     def test_moments_match_formulas(self):
         w = _weights([1.0, 2.0, 3.0], 4)
         v = sample_v(w, sigma2=2.0, count=200_000, seed=5)
-        mean, var = qf_moments(w, 2.0)
+        # sigma2 sum(lambda) / (n - 1) and 2 sigma2^2 sum(lambda^2) / (n - 1)^2
+        mean, var = 2.0 * 6.0 / 3.0, 2.0 * 4.0 * 14.0 / 9.0
         se_mean = v.std(ddof=1) / math.sqrt(v.size)
         assert abs(v.mean() - mean) < 3 * se_mean
         se_var = np.std((v - v.mean()) ** 2, ddof=1) / math.sqrt(v.size)
@@ -214,6 +192,11 @@ class TestSampleV:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             sample_v(_weights([1.0], 3), 1.0, 0, seed=1)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_sigma2(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+            sample_v(_weights([1.0], 5), sigma2, 10, seed=1)
 
     @pytest.mark.parametrize("count", [2.7, 3.0, -1, True, np.True_])
     def test_rejects_non_integer_count(self, count):

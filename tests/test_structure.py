@@ -1,6 +1,8 @@
 """Tests for design/structure matrix construction, the effect map and
 quadratic-form eigenvalue weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,13 @@ def _refuse_dense_eigvalsh(monkeypatch):
         raise AssertionError("dense eigvalsh called")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+def _refuse_effect_map(monkeypatch):
+    def refuse(design, spec):
+        raise AssertionError("_effect_map called")
+
+    monkeypatch.setattr(structure, "_effect_map", refuse)
 
 
 def _full_selection(n_g, n, seed):
@@ -215,8 +224,8 @@ class TestBuildBsplineBasis:
     def test_matches_recursive_oracle(self):
         x = np.linspace(-1.0, 1.0, 50)
         dm = build_bspline_basis(x, m=5, degree=3)
-        knots = np.asarray(dm.meta["knots"])
-        assert len(knots) == 5 + 3 + 1
+        # m - degree = 2 unit segments over [-1, 1], extended 3 steps past each end
+        knots = np.arange(-4.0, 5.0)
         oracle = _bspline_oracle(x, knots, 3)
         np.testing.assert_allclose(dm.values, oracle, atol=1e-12)
 
@@ -534,10 +543,7 @@ class TestSpectrumRoute:
 
     @pytest.mark.parametrize("case", ["crw2-identity", "icar-identity", "rw1-selection"])
     def test_needs_no_eigenvectors(self, monkeypatch, case):
-        def refuse(design, spec):
-            raise AssertionError("_effect_map called")
-
-        monkeypatch.setattr(structure, "_effect_map", refuse)
+        _refuse_effect_map(monkeypatch)
         if case == "crw2-identity":
             spec, z = build_rw(2, 50, circular=True), DesignMatrix.identity(50)
         elif case == "icar-identity":
@@ -546,6 +552,29 @@ class TestSpectrumRoute:
             spec, z = build_rw(1, 40), _full_selection(40, 48, seed=9)
         w = qf_weights(z, spec, constrained=True)
         assert w.weights.size == spec.n_g - 1
+        assert w.zero_count == 1
+
+    @pytest.mark.parametrize("case", ["iid", "shifted-icar"])
+    def test_equal_row_sums_match_effect_map(self, monkeypatch, case):
+        # K's rows all sum to r != 0: 1 is a range eigenvector of K, and the
+        # range eigenvalue nearest r is dropped for it
+        if case == "iid":
+            spec = StructureSpec(np.eye(60), 0)
+        else:
+            laplacian = build_icar(_random_graph(40, extra=30, seed=2)).precision
+            spec = StructureSpec(2.5 * np.eye(40) + laplacian, 0)
+        z = DesignMatrix.identity(spec.n_g)
+        expected = _effect_map_weights(z, spec)
+
+        _refuse_effect_map(monkeypatch)
+        w = qf_weights(z, spec, constrained=False)
+        np.testing.assert_allclose(w.weights, expected, rtol=0.0, atol=5e-15)
+        assert w.zero_count == 1
+
+    def test_large_iid_weights_are_exactly_one(self, monkeypatch):
+        _refuse_effect_map(monkeypatch)
+        w = qf_weights(DesignMatrix.identity(2000), StructureSpec(np.eye(2000), 0), False)
+        np.testing.assert_array_equal(w.weights, np.ones(1999))
         assert w.zero_count == 1
 
     @staticmethod
@@ -560,7 +589,8 @@ class TestSpectrumRoute:
         if case == "rw2-selection":
             return _full_selection(30, 36, seed=5), build_rw(2, 30)
         if case == "iid":
-            return DesignMatrix.identity(25), StructureSpec(np.eye(25), 0)
+            # K = I has 1 as an eigenvector, but only identity designs use that
+            return _full_selection(25, 30, seed=5), StructureSpec(np.eye(25), 0)
         if case == "bspline":
             return build_bspline_basis(np.linspace(-1.0, 1.0, 50), m=20), build_rw(2, 20)
         # a weighted graph Laplacian written to and read back from a file,
@@ -634,6 +664,23 @@ class TestDesignMatrix:
         raw[0] = (0.0, 1.0)
         np.testing.assert_array_equal(dm.values[0], (1.0, 0.0))
         assert not dm.values.flags.writeable
+
+    def test_identity_holds_one_copy(self):
+        # Z = I of n = 3000 is 72 MB; its checks make no second n x n array
+        tracemalloc.start()
+        try:
+            DesignMatrix.identity(3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6
+
+    def test_builders_hand_over_without_a_copy(self):
+        spec = build_rw(2, 30)
+        assert spec.precision.flags.owndata and not spec.precision.flags.writeable
+        assert StructureSpec(spec.precision, 2).precision is spec.precision
+        dm = build_bspline_basis(np.linspace(0.0, 1.0, 20), m=6)
+        assert DesignMatrix(values=dm.values, kind="basis").values is dm.values
 
 
 class TestQfWeightsType:

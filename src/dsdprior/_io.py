@@ -1,9 +1,13 @@
 """Deterministic file I/O for the command line front end.
 
-All emitters pin their byte output: each float is written as
+All emitters pin their byte output, so identical inputs give
+byte-identical files.  JSON and CSV write each float as
 ``repr(float(x))``, the shortest string that reads back to the same
-double, non-finite values are rejected, JSON keys are sorted, and every
-line ends with LF.  Identical inputs must give byte-identical files.
+double, reject non-finite values, sort JSON keys and end every line
+with LF.  Matrix Market files come from ``scipy.io.mmwrite``: the dense
+array layout in general form, a ``%`` line after the header, and each
+value as its shortest round-trip string (``6`` for 6.0), so a read-back
+is bit-exact.
 """
 
 from __future__ import annotations
@@ -67,18 +71,7 @@ def write_csv(path, header, columns):
 
 
 def write_matrix_market(path, a):
-    """Dense array-format Matrix Market with pinned formatting, so the
-    same matrix always produces the same bytes and values survive a
-    read-back bit-exactly."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for j in range(a.shape[1]):
-            for i in range(a.shape[0]):
-                fh.write(format_float(a[i, j]) + "\n")
+    scipy.io.mmwrite(path, a, symmetry="general")
 
 
 def read_matrix_market(path):

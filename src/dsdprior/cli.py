@@ -177,7 +177,10 @@ def _load_structure(cfg, ctx: _RunContext) -> StructureSpec:
         n_g = int(arg)
         if n_g < 1:
             raise ValueError("iid recipe needs at least one coefficient")
-        return StructureSpec(precision=np.eye(n_g), rank_deficiency=0, label=f"iid({n_g})")
+        # read-only, so StructureSpec keeps it without a copy
+        identity = np.eye(n_g)
+        identity.setflags(write=False)
+        return StructureSpec(precision=identity, rank_deficiency=0, label=f"iid({n_g})")
     if head == "icar":
         path = ctx.track_input(ctx.resolve(arg))
         return build_icar(_read_edge_list(path))
@@ -243,14 +246,6 @@ def _load_params(cfg) -> DsdParams:
         raise ValueError(f"bad prior parameters: {exc}") from exc
 
 
-def _weights_from_doc(doc) -> QfWeights:
-    return QfWeights(
-        weights=np.array(_require(doc, "weights", "weights document"), dtype=float),
-        n_predictor=_integer(doc, "n_predictor", where="weights document"),
-        zero_count=_integer(doc, "zero_count", where="weights document"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -269,52 +264,27 @@ def _cmd_weights(cfg, ctx: _RunContext):
     design = _load_design(_require(cfg, "design"), ctx, spec.n_g)
     constrained = spec.rank_deficiency > 0
     weights = qf_weights(design, spec, constrained=constrained)
-    ctx.write_json(
-        "weights.json",
-        {
-            "weights": weights.weights,
-            "n_predictor": weights.n_predictor,
-            "zero_count": weights.zero_count,
-            "constrained": constrained,
-            "design_kind": design.kind,
-            "structure_label": spec.label,
-        },
-    )
+    labels = {"constrained": constrained, "design_kind": design.kind, "structure_label": spec.label}
+    ctx.write_json("weights.json", {**asdict(weights), **labels})
 
 
 def _cmd_approx(cfg, ctx: _RunContext):
     source = _require(cfg, "weights")
-    if isinstance(source, str):
-        doc = load_json(ctx.track_input(ctx.resolve(source)))
-    else:
-        doc = source
-    weights = _weights_from_doc(doc)
-    fit = gamma_approx(weights)
-    ctx.write_json(
-        "approx.json",
-        {
-            "alpha_tilde": fit.alpha_tilde,
-            "beta_tilde": fit.beta_tilde,
-            "n_predictor": weights.n_predictor,
-        },
+    if not isinstance(source, str):
+        raise ValueError("config key 'weights' must be the path of a weights.json file")
+    doc = load_json(ctx.track_input(ctx.resolve(source)))
+    weights = QfWeights(
+        weights=np.array(_require(doc, "weights", "weights document"), dtype=float),
+        n_predictor=_integer(doc, "n_predictor", where="weights document"),
+        zero_count=_integer(doc, "zero_count", where="weights document"),
     )
+    fit = gamma_approx(weights)
+    ctx.write_json("approx.json", {**asdict(fit), "n_predictor": weights.n_predictor})
 
 
 def _cmd_elicit(cfg, ctx: _RunContext):
     spec = _parse_elicitation(cfg)
-    solution = solve_scale(spec)
-    ctx.write_json(
-        "elicit.json",
-        {
-            "b": solution.b,
-            "quantile": solution.quantile,
-            "pi0": solution.pi0,
-            "c": solution.c,
-            "n": spec.n,
-            "p": spec.p,
-            "q": spec.q,
-        },
-    )
+    ctx.write_json("elicit.json", {**asdict(spec), **asdict(solve_scale(spec))})
 
 
 def _cmd_prior(cfg, ctx: _RunContext):
@@ -349,15 +319,8 @@ def _cmd_pipeline(cfg, ctx: _RunContext):
         {
             "label": prior.label,
             "params": asdict(prior.params),
-            "scale": {
-                "b": prior.scale.b,
-                "quantile": prior.scale.quantile,
-                "pi0": prior.scale.pi0,
-                "c": prior.scale.c,
-            },
-            "weights": prior.weights.weights,
-            "n_predictor": prior.weights.n_predictor,
-            "zero_count": prior.weights.zero_count,
+            "scale": asdict(prior.scale),
+            **asdict(prior.weights),
             "provenance": prior.provenance,
         },
     )
@@ -495,8 +458,7 @@ def main(argv=None) -> int:
         # what is left are the command's own flags; commands add the
         # config values they used
         ctx = _RunContext(cfg_dir=cfg_path.parent, out_dir=Path(args.pop("out")), settings=args)
-        cfg = load_json(cfg_path)
-        ctx.inputs[cfg_path.name] = sha256_file(cfg_path)
+        cfg = load_json(ctx.track_input(cfg_path))
         _COMMANDS[command](cfg, ctx)
         manifest = {
             "command": command,

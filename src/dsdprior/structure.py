@@ -68,6 +68,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integer(name, value) -> int:
+    # an int or numpy integer, not a bool (an int subclass) nor an integral float
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class StructureSpec:
     """Symmetric positive semi-definite precision structure K with a
@@ -94,14 +101,10 @@ class StructureSpec:
             if np.max(np.abs(k - k.T)) > 1e-12 * scale:
                 raise ValueError("precision must be symmetric")
             k = (k + k.T) / 2.0
-        if isinstance(self.rank_deficiency, bool) or not isinstance(
-            self.rank_deficiency, (int, np.integer)
-        ):
-            raise ValueError("rank_deficiency must be an integer")
+        self.rank_deficiency = _integer("rank_deficiency", self.rank_deficiency)
         if not 0 <= self.rank_deficiency < k.shape[0]:
             raise ValueError("rank_deficiency must lie in [0, n_g)")
         self.precision = _as_readonly(k)
-        self.rank_deficiency = int(self.rank_deficiency)
         if self.spectrum is not None:
             lam = _as_readonly(self.spectrum)
             ok = (
@@ -181,13 +184,13 @@ class QfWeights:
             raise ValueError("weights must be a vector")
         if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0.0)):
             raise ValueError("weights must be finite and strictly positive")
+        self.n_predictor = _integer("n_predictor", self.n_predictor)
+        self.zero_count = _integer("zero_count", self.zero_count)
         if self.n_predictor < 2:
             raise ValueError("need at least two predictor rows")
         if self.zero_count < 0:
             raise ValueError("zero_count must be nonnegative")
         self.weights = _as_readonly(np.sort(w))
-        self.n_predictor = int(self.n_predictor)
-        self.zero_count = int(self.zero_count)
 
 
 def build_rw(order: int, n_g: int, circular: bool = False) -> StructureSpec:
@@ -257,6 +260,7 @@ def build_bspline_basis(x, m: int, degree: int = 3, bounds=None) -> DesignMatrix
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size < 1 or not np.all(np.isfinite(x)):
         raise ValueError("x must be a finite vector")
+    m, degree = _integer("m", m), _integer("degree", degree)
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if m < degree + 2:

@@ -5,9 +5,10 @@ fixed-effect and moment-match special cases, the weighted chi-square
 series, normalization of every density, one variance-share law across
 structures (the mixture residual of each component against the common
 benchmark), additivity of component priors on the predictor scale (the
-prior mean of every component's share equals the benchmark mean), and
-the documented scope boundary."""
+prior mean of every component's share equals the benchmark mean), the
+documented scope boundary, and the README's runnable examples."""
 
+import re
 import time
 from pathlib import Path
 
@@ -318,3 +319,18 @@ class TestDocumentedScope:
         assert "out of scope" in text
         assert "posterior" in text
         assert "mcmc" in text
+
+
+class TestReadmeExamples:
+    def test_python_blocks_run(self, capsys):
+        # the README's Python blocks run in order in one namespace, and
+        # the scale b the quickstart prints is what they compute
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+        assert len(blocks) == 2
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        capsys.readouterr()
+        (printed,) = re.findall(r"# alpha, beta, alpha_tilde, beta_tilde, b \(([\d.]+)\)", text)
+        assert f"{namespace['prior'].params.b:.4g}" == f"{float(printed):.4g}"

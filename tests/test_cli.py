@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,28 @@ class TestStructureCommand:
     def test_bad_recipe_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"recipe": "rw7 10"})
         assert run("structure", "--config", cfg, "--out", tmp_path / "out") == 1
+
+    def test_reruns_write_identical_matrix_files(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {"recipe": "crw2 1000"})
+        blobs = []
+        for tag in ("a", "b"):
+            assert run("structure", "--config", cfg, "--out", tmp_path / tag) == 0
+            blobs.append((tmp_path / tag / "structure.mtx").read_bytes())
+        assert blobs[0] == blobs[1]
+        k = read_matrix_market(tmp_path / "a" / "structure.mtx")
+        want = build_rw(order=2, n_g=1000, circular=True).precision
+        assert k.tobytes() == want.tobytes()
+
+    def test_iid_recipe_holds_one_matrix(self):
+        # I of n = 3000 is 72 MB; StructureSpec keeps the recipe's read-only
+        # array, and only its n x n boolean check masks come on top
+        tracemalloc.start()
+        try:
+            cli._load_structure({"recipe": "iid 3000"}, ctx=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 90e6
 
 
 class TestWeightsCommand:
@@ -215,6 +238,13 @@ class TestApproxCommand:
         )
         assert doc["alpha_tilde"] == want.alpha_tilde
         assert doc["beta_tilde"] == want.beta_tilde
+
+    def test_inline_weights_are_rejected(self, tmp_path, capsys):
+        doc = {"weights": [1.0, 2.0], "n_predictor": 10, "zero_count": 1}
+        cfg = write_config(tmp_path / "a.json", {"weights": doc})
+        assert run("approx", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert "config key 'weights'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestElicitCommand:
@@ -349,6 +379,39 @@ class TestPipelineCommand:
         assert run("pipeline", "--config", cfg, "--out", out) == 0
         doc = json.loads((out / "bundle.json").read_text())
         assert doc["params"]["b"] == pytest.approx(26.5, rel=0.03)
+
+
+class TestOutputLayout:
+    """Each JSON output keeps a flat layout: the library records' fields
+    sit at the top level beside the labels the command adds."""
+
+    def test_key_sets(self, tmp_path):
+        structure, design = {"recipe": "rw2 30"}, {"kind": "identity"}
+        configs = {
+            "weights": {"structure": structure, "design": design},
+            "approx": {"weights": str(tmp_path / "weights" / "weights.json")},
+            "elicit": {"n": 30, "c": 1.5},
+            "pipeline": {
+                "structure": structure, "design": design, "elicitation": {"n": 30, "c": 1.5},
+            },
+        }
+        docs = {}
+        for command, payload in configs.items():
+            cfg = write_config(tmp_path / f"{command}.json", payload)
+            assert run(command, "--config", cfg, "--out", tmp_path / command) == 0
+            (name,) = {path.name for path in (tmp_path / command).iterdir()} - {"manifest.json"}
+            docs[name] = json.loads((tmp_path / command / name).read_text())
+        weight_keys = {"weights", "n_predictor", "zero_count"}
+        scale_keys = {"b", "quantile", "pi0", "c"}
+        assert set(docs["weights.json"]) == weight_keys | {
+            "constrained", "design_kind", "structure_label",
+        }
+        assert set(docs["approx.json"]) == {"alpha_tilde", "beta_tilde", "n_predictor"}
+        assert set(docs["elicit.json"]) == scale_keys | {"n", "p", "q"}
+        bundle = docs["bundle.json"]
+        assert set(bundle) == weight_keys | {"label", "params", "scale", "provenance"}
+        assert set(bundle["scale"]) == scale_keys
+        assert set(bundle["params"]) == {"alpha", "beta", "alpha_tilde", "beta_tilde", "b", "p", "q"}
 
 
 class TestVerifyCommand:

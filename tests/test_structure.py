@@ -237,6 +237,15 @@ class TestBuildBsplineBasis:
         with pytest.raises(ValueError):
             build_bspline_basis(np.array([0.3]), m=6, degree=3)
 
+    def test_rejects_fractional_m(self):
+        # the knot grid would give 21 columns for m = 20.5
+        with pytest.raises(ValueError, match="m must be an integer"):
+            build_bspline_basis(np.linspace(-1.0, 1.0, 50), m=20.5)
+
+    def test_rejects_fractional_degree(self):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            build_bspline_basis(np.linspace(-1.0, 1.0, 50), m=20, degree=3.5)
+
 
 class TestStructureSpec:
     def test_rejects_asymmetric(self):
@@ -691,3 +700,12 @@ class TestQfWeightsType:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             QfWeights(weights=np.array([1.0]), n_predictor=1, zero_count=0)
+
+    def test_rejects_fractional_n_predictor(self):
+        # truncating 10.9 to 10 would shift beta_tilde's n - 1 divisor
+        with pytest.raises(ValueError, match="n_predictor must be an integer"):
+            QfWeights(weights=np.array([1.0, 2.0]), n_predictor=10.9, zero_count=1)
+
+    def test_rejects_boolean_zero_count(self):
+        with pytest.raises(ValueError, match="zero_count must be an integer"):
+            QfWeights(weights=np.array([1.0, 2.0]), n_predictor=10, zero_count=True)

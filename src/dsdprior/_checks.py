@@ -1,0 +1,72 @@
+"""Input rules, each written once, for every module that takes inputs.
+
+An integer is an int or a numpy integer, never a bool or a float, so no
+value is truncated; only the command line turns JSON's 30.0 into 30.
+Arrays are checked by their min and max, with no mask of their size.
+"""
+
+import math
+
+import numpy as np
+
+__all__ = [
+    "draw_count",
+    "finite",
+    "integer",
+    "positive",
+    "positive_array",
+    "positive_fields",
+    "probabilities",
+]
+
+
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def integer(name, value, minimum=None) -> int:
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def draw_count(count) -> int:
+    if not _is_integer(count) or count < 1:
+        raise ValueError("count must be a positive integer")
+    return int(count)
+
+
+def positive(name, value) -> float:
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def positive_fields(record, *names):
+    # each named field of a (frozen) dataclass as a positive finite float
+    for name in names:
+        object.__setattr__(record, name, positive(name, getattr(record, name)))
+
+
+def positive_array(name, x) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if arr.size == 0:
+        raise ValueError(f"{name} must be non-empty")
+    positive(name, arr.min())
+    positive(name, arr.max())
+    return arr
+
+
+def probabilities(name, u) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    if not (arr.size and 0.0 < arr.min() and arr.max() < 1.0):
+        raise ValueError(f"{name} must lie strictly inside (0, 1)")
+    return arr
+
+
+def finite(name, a):
+    if not np.all(np.isfinite((a.min(), a.max()))):
+        raise ValueError(f"{name} must be finite")

@@ -7,7 +7,8 @@ double, reject non-finite values, sort JSON keys and end every line
 with LF.  Matrix Market files come from ``scipy.io.mmwrite``: the dense
 array layout in general form, a ``%`` line after the header, and each
 value as its shortest round-trip string (``6`` for 6.0), so a read-back
-is bit-exact.
+is bit-exact.  They are read in array or coordinate layout, general or
+symmetric, as a dense read-only array.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 import scipy.io
+from scipy.sparse import issparse
 
 __all__ = [
     "dump_json",
@@ -75,8 +77,10 @@ def write_matrix_market(path, a):
 
 
 def read_matrix_market(path):
-    # read-only, so a StructureSpec or DesignMatrix keeps it without a copy
-    a = np.asarray(scipy.io.mmread(path), dtype=float)
+    # array or coordinate layout (mmread gives a sparse array for the latter),
+    # dense and read-only, so a StructureSpec or DesignMatrix keeps it without a copy
+    a = scipy.io.mmread(path)
+    a = np.asarray(a.toarray() if issparse(a) else a, dtype=float)
     a.setflags(write=False)
     return a
 

@@ -18,6 +18,8 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
+__all__ = ["ConvergenceError", "log_tanh_sinh_01"]
+
 # rows integrated together, so that peak node-array memory stays bounded
 _BATCH = 2048
 # relative change of the integral between levels at which a row settles

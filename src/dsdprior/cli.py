@@ -30,6 +30,7 @@ import scipy
 from scipy.special import erf
 
 from . import __version__
+from ._checks import integer
 from ._io import (
     dump_json,
     load_json,
@@ -121,17 +122,15 @@ def _require(cfg, key, where="config"):
 
 def _integer(cfg, key, default=None, where="config"):
     """cfg[key], or the default when one is given and the key is absent,
-    as an int: integral numbers such as 30.0 pass, 2.7 and booleans do
-    not."""
+    under the library's integer rule once JSON's integral floats such as
+    30.0 are ints: 2.7 and booleans still fail."""
     if default is not None and isinstance(cfg, dict) and key not in cfg:
         value = default
     else:
         value = _require(cfg, key, where)
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where} key {key!r} must be an integer, got {value!r}")
-    return value
+    return integer(f"{where} key {key!r}", value)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +227,7 @@ def _parse_elicitation(cfg, default_n=None) -> ElicitationSpec:
         c = pseudo_variance(
             _require(lk, "kind", "likelihood config"), _require(lk, "value", "likelihood config")
         )
-    n = cfg.get("n", default_n)
-    if n is None:
-        raise ValueError("elicitation config is missing required key 'n'")
+    n = _integer(cfg, "n", default_n, "elicitation config")
     # p, q and pi0 fall back to the defaults ElicitationSpec declares
     given = {key: cfg[key] for key in ("p", "q", "pi0") if key in cfg}
     return ElicitationSpec(n=n, c=c, **given)

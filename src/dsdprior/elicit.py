@@ -21,6 +21,7 @@ from scipy.optimize import brentq
 from scipy.special import betaincinv, betaln, gammainc, ndtri
 
 from . import __version__
+from ._checks import integer, positive, positive_fields, probabilities
 from ._quad import ConvergenceError, log_tanh_sinh_01
 from .priors import DsdParams
 from .qf import gamma_approx
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 _LIKELIHOOD_KINDS = ("gaussian", "binomial_logit", "binomial_probit", "user_supplied")
+_LOG_HUGE = math.log(np.finfo(float).max)
 
 
 def pseudo_variance(kind, value):
@@ -50,28 +52,27 @@ def pseudo_variance(kind, value):
     an unknown kind or a statistic outside its range."""
     if kind not in _LIKELIHOOD_KINDS:
         raise ValueError(f"unknown likelihood kind {kind!r}; expected one of {_LIKELIHOOD_KINDS}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"statistic must be finite, got {value!r}")
     if kind in ("gaussian", "user_supplied"):
-        if value <= 0.0:
-            raise ValueError(f"{kind} statistic must be > 0, got {value!r}")
-        return value
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{kind} mean must lie strictly inside (0, 1), got {value!r}")
+        return positive(f"{kind} statistic", value)
+    value = probabilities(f"{kind} mean", value).item()
     if kind == "binomial_logit":
-        return 1.0 / (value * (1.0 - value))
-    z = float(ndtri(value))
-    # 1 / phi(z)^2 = 2 pi exp(z^2)
-    return value * (1.0 - value) * 2.0 * math.pi * math.exp(z * z)
+        c = 1.0 / (value * (1.0 - value))
+    else:
+        # 1 / phi(z)^2 = 2 pi exp(z^2); exp(z^2) overflows below a mean of ~1e-154
+        z = float(ndtri(value))
+        overflow = z * z >= _LOG_HUGE
+        c = math.inf if overflow else value * (1.0 - value) * 2.0 * math.pi * math.exp(z * z)
+    if c == math.inf:
+        raise ValueError(f"{kind} mean {value!r} is too close to 0 or 1 for c to be a double")
+    return c
 
 
 @dataclass(frozen=True)
 class ElicitationSpec:
     """Inputs of the scale solve: predictor length n (benchmark shape
     and rate are both (n-1)/2), base-prior exponents, and the
-    probability statement P[b V* <= c] = pi0.  n must be integral (30 or
-    30.0, not 30.5 or True).  The marginal benchmark needs
+    probability statement P[b V* <= c] = pi0.  n is an int or numpy
+    integer (not 30.0, 30.5 or True).  The marginal benchmark needs
     p < 1 + (n-1)/2."""
 
     n: int
@@ -81,28 +82,14 @@ class ElicitationSpec:
     pi0: float = 0.5
 
     def __post_init__(self):
-        n = self.n
-        if isinstance(n, float) and n.is_integer():
-            n = int(n)
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"n must be an integer, got {n!r}")
-        n = int(n)
-        if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
+        n = integer("n", self.n, 2)
         object.__setattr__(self, "n", n)
-        for name in ("c", "p", "q"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-            object.__setattr__(self, name, value)
+        positive_fields(self, "c", "p", "q")
         if not self.p < 1.0 + 0.5 * (n - 1):
             raise ValueError(
                 f"marginal benchmark requires p < 1 + (n-1)/2; got p={self.p!r}, n={n}"
             )
-        pi0 = float(self.pi0)
-        if not 0.0 < pi0 < 1.0:
-            raise ValueError(f"pi0 must lie strictly inside (0, 1), got {pi0!r}")
-        object.__setattr__(self, "pi0", pi0)
+        object.__setattr__(self, "pi0", probabilities("pi0", self.pi0).item())
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ import numpy as np
 from scipy.optimize.elementwise import find_root
 from scipy.special import betainc, betaincinv, betaln
 
+from ._checks import draw_count, positive, positive_array, positive_fields, probabilities
 from ._quad import ConvergenceError, log_tanh_sinh_01
 from .specfun import log_gauss_2f1_negz, log_kummer_u
 
@@ -75,22 +76,6 @@ _GAP_TOL = 1e-13
 _MAX_STEPS = 100
 
 
-def _positive(name, value):
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    return value
-
-
-def _points(x, name="s"):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError(f"{name} must be positive and finite")
-    return arr
-
-
 def _unwrap(values, template):
     if np.ndim(template) == 0:
         return float(values[0])
@@ -102,13 +87,6 @@ def _density(log_density, x, theta):
     with np.errstate(under="ignore"):
         out = np.exp(out)
     return _unwrap(out, x)
-
-
-def check_count(count):
-    """The samplers' count rule (here and in qf.sample_v): an int or
-    numpy integer >= 1; no float is truncated and no bool is a count."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError("count must be a positive integer")
 
 
 def _checked_draws(draws):
@@ -133,9 +111,7 @@ class B2Params:
     q: float
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _positive("b", self.b))
-        object.__setattr__(self, "p", _positive("p", self.p))
-        object.__setattr__(self, "q", _positive("q", self.q))
+        positive_fields(self, "b", "p", "q")
 
 
 @dataclass(frozen=True)
@@ -152,8 +128,7 @@ class TwoF0Params:
     q: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "b", "p", "q"):
-            object.__setattr__(self, name, _positive(name, getattr(self, name)))
+        positive_fields(self, "alpha", "beta", "b", "p", "q")
         if not self.p < 1.0 + self.alpha:
             raise ValueError(
                 f"marginal benchmark requires p < 1 + alpha; got p={self.p!r}, alpha={self.alpha!r}"
@@ -178,8 +153,7 @@ class DsdParams:
     q: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "alpha_tilde", "beta_tilde", "b", "p", "q"):
-            object.__setattr__(self, name, _positive(name, getattr(self, name)))
+        positive_fields(self, "alpha", "beta", "alpha_tilde", "beta_tilde", "b", "p", "q")
         if self.p > self.alpha_tilde:
             raise ValueError(
                 "design-adjusted prior does not exist for p > alpha_tilde; "
@@ -198,7 +172,7 @@ class DsdParams:
 def b2_logpdf(s, theta):
     """Log density of the base prior at s > 0.  Vectorized; stable far
     into both tails."""
-    arr = _points(s)
+    arr = positive_array("s", s)
     log_s = np.log(arr)
     # log(1 + b/s) without overflow when s << b
     log_tail = np.logaddexp(0.0, math.log(theta.b) - log_s)
@@ -218,16 +192,14 @@ def b2_pdf(s, theta):
 
 def b2_cdf(s, theta):
     """CDF of the base prior: the Beta(p, q) CDF at s / (s + b)."""
-    arr = _points(s)
+    arr = positive_array("s", s)
     out = betainc(theta.p, theta.q, arr / (arr + theta.b))
     return _unwrap(out, s)
 
 
 def b2_quantile(u, theta):
     """Quantile of the base prior for u in (0, 1)."""
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if arr.size == 0 or not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("u must lie strictly inside (0, 1)")
+    arr = probabilities("u", u)
     # the smaller of w and 1 - w comes straight from betaincinv (1 - u is
     # exact for u > 1/2), so w rounding to 1 cannot divide by zero
     upper = arr > 0.5
@@ -243,7 +215,7 @@ def b2_sample(theta, count, seed):
     b W / (1 - W), W ~ Beta(p, q), rounds to 0.  Same (count, seed) gives
     bitwise-identical output; changing b only rescales it.  Raises
     ConvergenceError if a draw is not a positive finite double."""
-    check_count(count)
+    count = draw_count(count)
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         s = theta.b * (rng.gamma(theta.p, size=count) / rng.gamma(theta.q, size=count))
@@ -254,8 +226,7 @@ def halft_to_b2(dof, scale):
     """Map a Half-t(dof, scale) prior on a standard deviation to the base
     prior it induces on the variance: b = dof * scale^2, p = 1/2,
     q = dof / 2."""
-    dof = _positive("dof", dof)
-    scale = _positive("scale", scale)
+    dof, scale = positive("dof", dof), positive("scale", scale)
     return B2Params(b=dof * scale * scale, p=0.5, q=dof / 2.0)
 
 
@@ -271,7 +242,7 @@ def twoF0_logpdf(x, theta):
         f(x) = beta * G(a+q) G(p+q) / (b G(a) G(p) G(q))
                * w^(a-1) * U(a + q, 1 + a - p, w),   w = x beta / b.
     """
-    arr = _points(x, "x")
+    arr = positive_array("x", x)
     a = theta.alpha
     log_const = (
         math.log(theta.beta)
@@ -329,7 +300,7 @@ def dsd_logpdf(s, theta):
     with c = b beta_tilde / beta and F the Gauss hypergeometric
     function.  The boundary case p = alpha_tilde short-circuits to the
     rescaled base prior before any hypergeometric evaluation."""
-    arr = _points(s)
+    arr = positive_array("s", s)
     if theta.p == theta.alpha_tilde:
         return _unwrap(np.atleast_1d(b2_logpdf(arr, _reduced_base(theta))), s)
     z = -(theta.b * theta.beta_tilde / theta.beta) / arr
@@ -523,7 +494,7 @@ class DsdCurve:
 
     def cdf(self, s):
         """CDF at s > 0; vectorized, in [0, 1]."""
-        arr = _points(s)
+        arr = positive_array("s", s)
         if self.params.p == self.params.alpha_tilde:
             return _unwrap(np.atleast_1d(b2_cdf(arr, _reduced_base(self.params))), s)
         with np.errstate(under="ignore"):
@@ -532,9 +503,7 @@ class DsdCurve:
 
     def quantile(self, u):
         """Quantile for u strictly inside (0, 1); inverse of `cdf`."""
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if arr.size == 0 or not np.all((arr > 0.0) & (arr < 1.0)):
-            raise ValueError("u must lie strictly inside (0, 1)")
+        arr = probabilities("u", u)
         return _unwrap(_quantile(self.params, arr), u)
 
 
@@ -552,7 +521,7 @@ def dsd_sample(theta, count, seed):
     goes to numpy.random.default_rng, so a Generator is drawn from in
     place.  Raises ConvergenceError if a draw is not a positive finite
     double."""
-    check_count(count)
+    count = draw_count(count)
     t = theta
     rng = np.random.default_rng(seed)
     w = 1.0 if t.p == t.alpha_tilde else rng.beta(t.p, t.alpha_tilde - t.p, size=count)
@@ -577,7 +546,7 @@ def integral_equation_residual(theta, v_grid):
     points doubled up to 16385 until each agrees with its half grid to
     1e-6 relative; if the largest grid still disagrees, ConvergenceError
     is raised rather than a residual reported from it."""
-    v = _points(v_grid, "v_grid")
+    v = positive_array("v_grid", v_grid)
     at, bt = theta.alpha_tilde, theta.beta_tilde
 
     def log_kernel(y):

@@ -10,7 +10,8 @@ with lambda the quadratic-form weights from the structure module. This
 module provides the exact CDF of Q (Ruben's Gamma-mixture series, for
 every weight vector: with equal weights it is one exact term), the
 two-moment Gamma approximation of V that the closed-form priors build
-on, and seeded simulation of V.
+on, and seeded simulation of V. A QfWeights record holds a non-empty
+vector of positive finite weights, so none of them checks it again.
 
 The series converges at the rate 1 - rho/lambda_max with rho near
 2 lambda_min, so it raises ConvergenceError when lambda_max/lambda_min
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
+from ._checks import draw_count, positive, positive_array, positive_fields
 from ._quad import ConvergenceError
-from .priors import check_count
 from .structure import QfWeights
 
 __all__ = [
@@ -50,14 +51,9 @@ class GammaApprox:
     beta_tilde: float
 
     def __post_init__(self):
-        ok = (
-            np.isfinite(self.alpha_tilde)
-            and np.isfinite(self.beta_tilde)
-            and self.alpha_tilde >= 0.5 - 1e-12
-            and self.beta_tilde > 0.0
-        )
-        if not ok:
-            raise ValueError("need alpha_tilde >= 1/2 and beta_tilde > 0, both finite")
+        positive_fields(self, "alpha_tilde", "beta_tilde")
+        if self.alpha_tilde < 0.5 - 1e-12:
+            raise ValueError(f"alpha_tilde must be >= 1/2, got {self.alpha_tilde!r}")
 
 
 def gamma_approx(w: QfWeights) -> GammaApprox:
@@ -66,8 +62,6 @@ def gamma_approx(w: QfWeights) -> GammaApprox:
     beta~  = ((n-1)/2) * sum lambda / sum lambda^2,
     so the fit's mean and variance are V's exact ones at sigma2 = 1."""
     lam = w.weights
-    if lam.size == 0:
-        raise ValueError("no positive weights to approximate")
     s1 = float(np.sum(lam))
     s2 = float(np.sum(lam**2))
     return GammaApprox(
@@ -138,13 +132,7 @@ def ruben_cdf(q, w: QfWeights):
     Nondecreasing in q; clipped to [0, 1] against truncation residue.
     Raises ConvergenceError when the series needs more than _MAX_TERMS
     terms, as it does once lambda_max/lambda_min is large."""
-    lam = w.weights
-    if lam.size == 0:
-        raise ValueError("no positive weights")
-    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-    if not np.all(np.isfinite(q_arr)) or np.any(q_arr <= 0.0):
-        raise ValueError("evaluation points must be positive and finite")
-    out = np.clip(_series_cdf(q_arr, lam), 0.0, 1.0)
+    out = np.clip(_series_cdf(positive_array("q", q), w.weights), 0.0, 1.0)
     return float(out[0]) if np.ndim(q) == 0 else out
 
 
@@ -152,11 +140,7 @@ def sample_v(w: QfWeights, sigma2: float, count: int, seed: int) -> np.ndarray:
     """Draw V = (sigma2/(n-1)) sum_k lambda_k X_k with X_k iid chi2_1,
     deterministically from the seed. One pass per weight keeps memory at
     two arrays of the requested size."""
-    if not (np.isfinite(sigma2) and sigma2 > 0.0):
-        raise ValueError("sigma2 must be positive and finite")
-    check_count(count)
-    if w.weights.size == 0:
-        raise ValueError("no positive weights")
+    sigma2, count = positive("sigma2", sigma2), draw_count(count)
     rng = np.random.default_rng(seed)
     acc = np.zeros(count)
     for lam in w.weights:

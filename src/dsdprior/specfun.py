@@ -22,6 +22,7 @@ import math
 import numpy as np
 from scipy import special as _sp
 
+from ._checks import finite, positive, positive_array
 from ._quad import ConvergenceError, log_tanh_sinh_01
 
 __all__ = [
@@ -31,24 +32,9 @@ __all__ = [
 ]
 
 
-def _require(cond, msg):
-    if not cond:
-        raise ValueError(msg)
-
-
 # ----------------------------------------------------------------------
 # Gauss 2F1 on the negative real axis
 # ----------------------------------------------------------------------
-
-def _validate_2f1_params(a, b, c):
-    _require(math.isfinite(a) and a > 0.0, f"log_gauss_2f1_negz requires finite a > 0, got {a!r}")
-    _require(math.isfinite(b) and b > 0.0, f"log_gauss_2f1_negz requires finite b > 0, got {b!r}")
-    _require(math.isfinite(c), f"log_gauss_2f1_negz requires finite c, got {c!r}")
-    _require(
-        c > b,
-        f"log_gauss_2f1_negz requires c > b for the Euler integral; got b={b!r}, c={c!r}",
-    )
-
 
 def log_gauss_2f1_negz(a, b, c, z):
     """log 2F1(a,b;c;z) for an array of z <= 0; requires c > b > 0, a > 0.
@@ -65,13 +51,13 @@ def log_gauss_2f1_negz(a, b, c, z):
     not run off with z however large |z| is; for a < c it grows toward
     t = 1, to at most (1 + |z|)^(c-a).  Its weakest endpoint power is
     min(b, c - b)."""
-    a = float(a)
-    b = float(b)
-    c = float(c)
-    _validate_2f1_params(a, b, c)
+    a, b, c = positive("a", a), positive("b", b), float(c)
+    if not b < c < math.inf:
+        raise ValueError(f"log_gauss_2f1_negz requires a finite c > b; got b={b!r}, c={c!r}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    _require(np.all(np.isfinite(z)), "log_gauss_2f1_negz requires finite z")
-    _require(np.all(z <= 0.0), f"log_gauss_2f1_negz is restricted to z <= 0, got max {z.max()!r}")
+    finite("z", z)
+    if z.max() > 0.0:
+        raise ValueError(f"log_gauss_2f1_negz is restricted to z <= 0, got max {z.max()!r}")
 
     out = np.zeros(z.shape, dtype=float)
     neg = z < 0.0  # z == 0 -> log 1 = 0 directly
@@ -104,12 +90,9 @@ def log_kummer_u(a, b, z):
     a makes it too narrow for the node spacing.  Near t = 0 the integrand
     goes like t^(a-1), so a is its weakest endpoint power.
     """
-    a = float(a)
-    b = float(b)
-    _require(math.isfinite(a) and a > 0.0, f"log_kummer_u requires finite a > 0, got {a!r}")
-    _require(math.isfinite(b), f"log_kummer_u requires finite b, got {b!r}")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    _require(np.all(np.isfinite(z)) and np.all(z > 0.0), "log_kummer_u requires finite z > 0")
+    a, b, z = positive("a", a), float(b), positive_array("z", z)
+    if not math.isfinite(b):
+        raise ValueError(f"log_kummer_u requires a finite b, got {b!r}")
 
     log_z = np.log(z)
     d = b - a - 1.0

@@ -30,6 +30,8 @@ from scipy.linalg import eigvals_banded
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
+from ._checks import finite, integer, positive_array
+
 __all__ = [
     "DesignMatrix",
     "QfWeights",
@@ -68,13 +70,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _integer(name, value) -> int:
-    # an int or numpy integer, not a bool (an int subclass) nor an integral float
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass
 class StructureSpec:
     """Symmetric positive semi-definite precision structure K with a
@@ -91,24 +86,24 @@ class StructureSpec:
         k = np.asarray(self.precision, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 1:
             raise ValueError("precision must be a square matrix")
-        if not np.all(np.isfinite(k)):
-            raise ValueError("precision must be finite")
+        finite("precision", k)
         # an exactly symmetric K, as every builder makes, is its own
-        # symmetric part; one comparison with K' spares the transposed
-        # passes, the slowest part of construction at large n_g
-        if not np.array_equal(k, k.T):
+        # symmetric part; comparing it with K' in blocks of b rows spares
+        # the transposed passes and an n_g x n_g mask
+        n_g, b = k.shape[0], 256
+        if not all(np.array_equal(k[i : i + b], k[:, i : i + b].T) for i in range(0, n_g, b)):
             scale = max(1.0, float(np.max(np.abs(k))))
             if np.max(np.abs(k - k.T)) > 1e-12 * scale:
                 raise ValueError("precision must be symmetric")
             k = (k + k.T) / 2.0
-        self.rank_deficiency = _integer("rank_deficiency", self.rank_deficiency)
-        if not 0 <= self.rank_deficiency < k.shape[0]:
+        self.rank_deficiency = integer("rank_deficiency", self.rank_deficiency)
+        if not 0 <= self.rank_deficiency < n_g:
             raise ValueError("rank_deficiency must lie in [0, n_g)")
         self.precision = _as_readonly(k)
         if self.spectrum is not None:
             lam = _as_readonly(self.spectrum)
             ok = (
-                lam.shape == (k.shape[0],)
+                lam.shape == (n_g,)
                 and np.all(np.diff(lam) >= 0.0)
                 and np.isclose(lam.sum(), np.trace(k), rtol=1e-10, atol=0.0)
                 and np.isclose(lam @ lam, np.vdot(k, k), rtol=1e-10, atol=0.0)
@@ -136,9 +131,7 @@ class DesignMatrix:
         z = _as_readonly(self.values)
         if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
             raise ValueError("design matrix must be 2-d and non-empty")
-        # min and max are NaN where an entry is and meet any inf, with no n x m mask
-        if not np.all(np.isfinite((z.min(), z.max()))):
-            raise ValueError("design matrix must be finite")
+        finite("design matrix", z)
         if self.kind not in _DESIGN_KINDS:
             raise ValueError(f"unknown design kind {self.kind!r}; expected one of {_DESIGN_KINDS}")
         if self.kind == "identity":
@@ -156,7 +149,7 @@ class DesignMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "DesignMatrix":
-        return cls(values=_frozen(np.eye(n)), kind="identity")
+        return cls(values=_frozen(np.eye(integer("n", n))), kind="identity")
 
     @property
     def n(self) -> int:
@@ -179,18 +172,11 @@ class QfWeights:
     zero_count: int
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1:
+        if np.ndim(self.weights) != 1:
             raise ValueError("weights must be a vector")
-        if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0.0)):
-            raise ValueError("weights must be finite and strictly positive")
-        self.n_predictor = _integer("n_predictor", self.n_predictor)
-        self.zero_count = _integer("zero_count", self.zero_count)
-        if self.n_predictor < 2:
-            raise ValueError("need at least two predictor rows")
-        if self.zero_count < 0:
-            raise ValueError("zero_count must be nonnegative")
-        self.weights = _as_readonly(np.sort(w))
+        self.n_predictor = integer("n_predictor", self.n_predictor, 2)
+        self.zero_count = integer("zero_count", self.zero_count, 0)
+        self.weights = _frozen(np.sort(positive_array("weights", self.weights)))
 
 
 def build_rw(order: int, n_g: int, circular: bool = False) -> StructureSpec:
@@ -206,10 +192,10 @@ def build_rw(order: int, n_g: int, circular: bool = False) -> StructureSpec:
     spectrum (Rue & Held 2005, GMRF, sec. 3.1): 4 sin^2(pi k / 2n) for
     rw1, 4 sin^2(pi k / n) for crw1 and its square for crw2, with
     k = 0..n-1; sin keeps relative accuracy where 2 - 2 cos cancels."""
+    order = integer("order", order)
     if order not in (1, 2):
         raise ValueError("walk order must be 1 or 2")
-    if n_g < order + 2:
-        raise ValueError("need n_g >= order + 2 grid points")
+    n_g = integer("n_g", n_g, order + 2)
     stencil = (-1.0, 1.0) if order == 1 else (1.0, -2.0, 1.0)
     rows = np.arange(n_g if circular else n_g - order)
     precision = np.zeros((n_g, n_g))
@@ -258,13 +244,11 @@ def build_bspline_basis(x, m: int, degree: int = 3, bounds=None) -> DesignMatrix
     vector is extended degree steps past each end, so the basis spans
     exactly m functions and sums to one on the interval."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1 or x.size < 1 or not np.all(np.isfinite(x)):
-        raise ValueError("x must be a finite vector")
-    m, degree = _integer("m", m), _integer("degree", degree)
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if m < degree + 2:
-        raise ValueError("need m >= degree + 2 basis functions")
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError("x must be a non-empty vector")
+    finite("x", x)
+    degree = integer("degree", degree, 1)
+    m = integer("m", m, degree + 2)
     lo, hi = bounds if bounds is not None else (float(x.min()), float(x.max()))
     if not hi > lo:
         raise ValueError("basis range is degenerate; pass explicit bounds")

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 
 from dsdprior import cli
 from dsdprior._io import read_matrix_market, sha256_file
@@ -157,6 +159,33 @@ class TestWeightsCommand:
         )
         np.testing.assert_array_equal(np.array(doc["weights"]), want.weights)
 
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_coordinate_matrix_files_read_as_arrays(self, tmp_path, symmetry):
+        # scipy's mmwrite writes a sparse K or Z in coordinate layout, a
+        # dense one as an array; both must give the same component
+        k = build_rw(order=1, n_g=6).precision
+        z = np.eye(6)[[0, 1, 2, 3, 4, 5, 0, 2, 4]]
+        outputs = []
+        for layout, to_write in (("array", np.asarray), ("coordinate", scipy.sparse.coo_array)):
+            work = tmp_path / layout
+            work.mkdir()
+            scipy.io.mmwrite(work / "k.mtx", to_write(k), symmetry=symmetry)
+            scipy.io.mmwrite(work / "z.mtx", to_write(z))
+            head = (work / "k.mtx").read_text().splitlines()[0]
+            assert head == f"%%MatrixMarket matrix {layout} real {symmetry}"
+            cfg = write_config(
+                work / "cfg.json",
+                {
+                    "structure": {"recipe": "file k.mtx", "rank_deficiency": 1},
+                    "design": {"kind": "selection", "path": "z.mtx"},
+                    "elicitation": {"c": 1.0},
+                },
+            )
+            for command, name in (("weights", "weights.json"), ("pipeline", "bundle.json")):
+                assert run(command, "--config", cfg, "--out", work / command) == 0
+                outputs.append((work / command / name).read_bytes())
+        assert outputs[:2] == outputs[2:]
+
     def test_structure_file_needs_rank_deficiency(self, tmp_path, capsys):
         out1 = tmp_path / "out1"
         cfg1 = write_config(tmp_path / "s.json", {"recipe": "crw2 17"})
@@ -277,6 +306,13 @@ class TestElicitCommand:
         out = tmp_path / "out"
         assert run("elicit", "--config", cfg, "--out", out) == 0
         assert json.loads((out / "elicit.json").read_text())["c"] == 4.0
+
+    def test_mean_too_close_to_zero_is_a_config_error(self, tmp_path, capsys):
+        likelihood = {"kind": "binomial_probit", "value": 1e-300}
+        cfg = write_config(tmp_path / "cfg.json", {"n": 50, "likelihood": likelihood})
+        assert run("elicit", "--config", cfg, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: binomial_probit mean 1e-300") and "Traceback" not in err
 
     def test_reruns_are_byte_identical(self, tmp_path):
         payload = {"n": 30, "c": 1.0}

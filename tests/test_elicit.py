@@ -83,6 +83,16 @@ class TestPseudoVariance:
         got = pseudo_variance("binomial_probit", mean)
         assert got == pytest.approx(oracles.probit_pseudo_variance(mean), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "kind, mean",
+        [("binomial_probit", 1e-160), ("binomial_probit", 1e-300), ("binomial_logit", 5e-324)],
+    )
+    def test_mean_too_close_to_zero_raises(self, kind, mean):
+        # exp(z^2) overflows below a probit mean of ~1e-154, and 1 / m below
+        # a logit mean of ~6e-309
+        with pytest.raises(ValueError, match=f"{kind} mean {mean!r} is too close to 0 or 1"):
+            pseudo_variance(kind, mean)
+
     def test_probit_increases_away_from_half(self):
         mid = pseudo_variance("binomial_probit", 0.5)
         edge = pseudo_variance("binomial_probit", 0.95)
@@ -103,13 +113,6 @@ class TestElicitationSpec:
             ElicitationSpec(n=10, c=1.0, pi0=1.0)
         with pytest.raises(ValueError, match="1 \\+ \\(n-1\\)/2"):
             ElicitationSpec(n=3, c=1.0, p=2.0)
-
-    def test_n_must_be_integral(self):
-        assert ElicitationSpec(n=30.0, c=1.0).n == 30
-        assert ElicitationSpec(n=np.int64(30), c=1.0) == ElicitationSpec(n=30, c=1.0)
-        for bad in (30.9, True, "30"):
-            with pytest.raises(ValueError, match="n must be an integer"):
-                ElicitationSpec(n=bad, c=1.0)
 
 
 class TestSolveScale:

@@ -195,6 +195,10 @@ class TestB2Sample:
         with pytest.raises(ValueError, match="count must be a positive integer"):
             b2_sample(B2Params(1.0, 0.5, 1.5), count, seed=3)
 
+    def test_numpy_integer_count_draws_as_int(self):
+        theta = B2Params(1.0, 0.5, 1.5)
+        np.testing.assert_array_equal(b2_sample(theta, np.int64(300), 3), b2_sample(theta, 300, 3))
+
     def test_scale_equivariance(self):
         a = b2_sample(B2Params(1.0, 0.5, 1.5), 1000, seed=11)
         b = b2_sample(B2Params(5.0, 0.5, 1.5), 1000, seed=11)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "benchmark_exponent",
     "draw_count",
     "finite",
     "integer",
@@ -30,6 +31,13 @@ def integer(name, value, minimum=None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def benchmark_exponent(p, alpha):
+    # the marginal benchmark, a Gamma(alpha) share mixed over the base
+    # prior, normalizes only for p < 1 + alpha
+    if not p < 1.0 + alpha:
+        raise ValueError(f"marginal benchmark requires p < 1 + alpha; got p={p!r}, alpha={alpha!r}")
 
 
 def draw_count(count) -> int:

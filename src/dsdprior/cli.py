@@ -7,9 +7,9 @@ input and output file. Outputs never depend on the clock, the host, or
 absolute paths, so rerunning a command with the same config produces
 byte-identical files.
 
-Every input has one source. Seeds, draw counts and all model inputs are
-config keys; the only flag besides --config and --out is prior's
---grid-points. Integer keys accept 30 or 30.0 but not 2.7 or true.
+Every input has one source. Seeds, draw counts, grid sizes and all model
+inputs are config keys; the only flags are --config and --out. Integer
+keys and recipe sizes accept 30 or 30.0 but not 2.7 or true.
 
 Exit codes: 0 success, 1 bad usage or bad config, 2 numerical failure
 (the error message and any solver diagnostics go to stderr).
@@ -85,7 +85,7 @@ class _RunContext:
 
     cfg_dir: Path
     out_dir: Path
-    settings: dict
+    settings: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
 
@@ -120,17 +120,22 @@ def _require(cfg, key, where="config"):
     return cfg[key]
 
 
-def _integer(cfg, key, default=None, where="config"):
+def _as_integer(name, value, minimum=None):
+    """value under the library's integer rule once JSON's integral floats
+    such as 30.0 are ints: 2.7 and booleans still fail."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return integer(name, value, minimum)
+
+
+def _integer(cfg, key, default=None, where="config", minimum=None):
     """cfg[key], or the default when one is given and the key is absent,
-    under the library's integer rule once JSON's integral floats such as
-    30.0 are ints: 2.7 and booleans still fail."""
+    as an integer of at least minimum."""
     if default is not None and isinstance(cfg, dict) and key not in cfg:
         value = default
     else:
         value = _require(cfg, key, where)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    return integer(f"{where} key {key!r}", value)
+    return _as_integer(f"{where} key {key!r}", value, minimum)
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +175,19 @@ def _load_structure(cfg, ctx: _RunContext) -> StructureSpec:
         raise ValueError(f"structure recipe must be '<kind> <argument>', got {recipe!r}")
     head, arg = parts
     walk = re.fullmatch(r"(c?)rw([12])", head)
-    if walk:
-        return build_rw(order=int(walk.group(2)), n_g=int(arg), circular=bool(walk.group(1)))
-    if head == "iid":
-        n_g = int(arg)
-        if n_g < 1:
-            raise ValueError("iid recipe needs at least one coefficient")
+    if walk or head == "iid":
+        try:
+            # the size reads as a JSON number would, so "20.0" is 20
+            size = float(arg)
+        except ValueError:
+            size = arg
+        try:
+            # build_rw holds the walks' minimum size
+            n_g = _as_integer("size", size, None if walk else 1)
+            if walk:
+                return build_rw(order=int(walk.group(2)), n_g=n_g, circular=bool(walk.group(1)))
+        except ValueError as exc:
+            raise ValueError(f"structure recipe {recipe!r}: {exc}") from None
         # read-only, so StructureSpec keeps it without a copy
         identity = np.eye(n_g)
         identity.setflags(write=False)
@@ -238,7 +250,7 @@ def _load_params(cfg) -> DsdParams:
     if not isinstance(params, dict):
         raise ValueError("'params' must be a JSON object")
     try:
-        return DsdParams(**{key: float(value) for key, value in params.items()})
+        return DsdParams(**params)
     except TypeError as exc:
         raise ValueError(f"bad prior parameters: {exc}") from exc
 
@@ -286,9 +298,7 @@ def _cmd_elicit(cfg, ctx: _RunContext):
 
 def _cmd_prior(cfg, ctx: _RunContext):
     theta = _load_params(cfg)
-    points = ctx.settings["grid_points"]
-    if points < 2:
-        raise ValueError("--grid-points must be at least 2")
+    points = ctx.settings["grid_points"] = _integer(cfg, "grid_points", 512, minimum=2)
     curve = dsd_cdf_quantile(theta)
     lo, hi = curve.quantile(np.array([1e-3, 1.0 - 1e-3]))
     s = np.exp(np.linspace(math.log(lo), math.log(hi), points))
@@ -330,10 +340,9 @@ def _cmd_verify(cfg, ctx: _RunContext):
     verify.json and fails with the numerical exit code if any check
     misses its bound."""
     cfg = cfg or {}
-    mc_draws = ctx.settings["mc_draws"] = _integer(cfg, "mc_draws", 200_000)
+    # the distributional checks need at least 1000 draws
+    mc_draws = ctx.settings["mc_draws"] = _integer(cfg, "mc_draws", 200_000, minimum=1000)
     seed = ctx.settings["seed"] = _integer(cfg, "seed", 0)
-    if mc_draws < 1000:
-        raise ValueError("verify needs mc_draws >= 1000 for its distributional checks")
 
     checks = []
 
@@ -440,25 +449,19 @@ def _build_parser() -> _Parser:
         sub = subparsers.add_parser(name, help=(runner.__doc__ or "").split("\n")[0] or None)
         sub.add_argument("--config", required=True, help="path to the JSON config file")
         sub.add_argument("--out", required=True, help="output directory")
-        if name == "prior":
-            sub.add_argument(
-                "--grid-points", type=int, default=512, help="rows in exported density grids"
-            )
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = vars(_build_parser().parse_args(argv))
-        command = args.pop("command")
-        cfg_path = Path(args.pop("config"))
-        # what is left are the command's own flags; commands add the
-        # config values they used
-        ctx = _RunContext(cfg_dir=cfg_path.parent, out_dir=Path(args.pop("out")), settings=args)
+        args = _build_parser().parse_args(argv)
+        cfg_path = Path(args.config)
+        # commands record the config values they used in settings
+        ctx = _RunContext(cfg_dir=cfg_path.parent, out_dir=Path(args.out))
         cfg = load_json(ctx.track_input(cfg_path))
-        _COMMANDS[command](cfg, ctx)
+        _COMMANDS[args.command](cfg, ctx)
         manifest = {
-            "command": command,
+            "command": args.command,
             "versions": {
                 "dsdprior": __version__,
                 "python": platform.python_version(),

@@ -1,8 +1,8 @@
 """Elicitation: from a data-variability statement to concrete prior
 parameters.
 
-The chain: the bound c is given directly or as `pseudo_variance(kind,
-value)` of a likelihood kind and its one summary statistic, a
+The chain: the bound c is given directly or, for a binomial response,
+as `pseudo_variance(kind, value)` of its link and response mean, a
 deterministic scale solve of P[b V* <= c] = pi0 gives the base-prior
 scale b, and composing with the component's quadratic-form weights
 gives the full design-adjusted prior.  The same spec always gives
@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from scipy.special import betaincinv, betaln, gammainc, ndtri
 
 from . import __version__
-from ._checks import integer, positive, positive_fields, probabilities
+from ._checks import benchmark_exponent, integer, positive_fields, probabilities
 from ._quad import ConvergenceError, log_tanh_sinh_01
 from .priors import DsdParams
 from .qf import gamma_approx
@@ -36,24 +36,19 @@ __all__ = [
     "solve_scale",
 ]
 
-_LIKELIHOOD_KINDS = ("gaussian", "binomial_logit", "binomial_probit", "user_supplied")
+_LIKELIHOOD_KINDS = ("binomial_logit", "binomial_probit")
 _LOG_HUGE = math.log(np.finfo(float).max)
 
 
 def pseudo_variance(kind, value):
-    """The variability bound c implied by a likelihood kind and the one
-    summary statistic it needs.
-
-    gaussian takes the response sample variance and user_supplied the
-    bound itself, both as they are and both > 0.  The binomial links
-    take the response mean m in (0, 1) and give the variance of the
-    latent predictor scale it implies: 1/(m(1-m)) for binomial_logit,
-    m(1-m)/phi(Phi^-1(m))^2 for binomial_probit.  Raises ValueError on
-    an unknown kind or a statistic outside its range."""
+    """The variability bound c implied by a binomial likelihood's link
+    and its response mean m in (0, 1): the variance of the latent
+    predictor scale it implies, 1/(m(1-m)) for binomial_logit and
+    m(1-m)/phi(Phi^-1(m))^2 for binomial_probit.  A Gaussian response
+    gives its sample variance as c directly.  Raises ValueError on an
+    unknown kind or a mean outside (0, 1)."""
     if kind not in _LIKELIHOOD_KINDS:
         raise ValueError(f"unknown likelihood kind {kind!r}; expected one of {_LIKELIHOOD_KINDS}")
-    if kind in ("gaussian", "user_supplied"):
-        return positive(f"{kind} statistic", value)
     value = probabilities(f"{kind} mean", value).item()
     if kind == "binomial_logit":
         c = 1.0 / (value * (1.0 - value))
@@ -85,10 +80,7 @@ class ElicitationSpec:
         n = integer("n", self.n, 2)
         object.__setattr__(self, "n", n)
         positive_fields(self, "c", "p", "q")
-        if not self.p < 1.0 + 0.5 * (n - 1):
-            raise ValueError(
-                f"marginal benchmark requires p < 1 + (n-1)/2; got p={self.p!r}, n={n}"
-            )
+        benchmark_exponent(self.p, 0.5 * (n - 1))
         object.__setattr__(self, "pi0", probabilities("pi0", self.pi0).item())
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize.elementwise import find_root
 from scipy.special import betainc, betaincinv, betaln
 
-from ._checks import draw_count, positive, positive_array, positive_fields, probabilities
+from ._checks import benchmark_exponent, draw_count, positive_array, positive_fields, probabilities
 from ._quad import ConvergenceError, log_tanh_sinh_01
 from .specfun import log_gauss_2f1_negz, log_kummer_u
 
@@ -52,7 +52,6 @@ __all__ = [
     "dsd_logpdf",
     "dsd_pdf",
     "dsd_sample",
-    "halft_to_b2",
     "integral_equation_residual",
     "twoF0_logpdf",
     "twoF0_pdf",
@@ -129,10 +128,7 @@ class TwoF0Params:
 
     def __post_init__(self):
         positive_fields(self, "alpha", "beta", "b", "p", "q")
-        if not self.p < 1.0 + self.alpha:
-            raise ValueError(
-                f"marginal benchmark requires p < 1 + alpha; got p={self.p!r}, alpha={self.alpha!r}"
-            )
+        benchmark_exponent(self.p, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -159,10 +155,7 @@ class DsdParams:
                 "design-adjusted prior does not exist for p > alpha_tilde; "
                 f"got p={self.p!r}, alpha_tilde={self.alpha_tilde!r}"
             )
-        if not self.p < 1.0 + self.alpha:
-            raise ValueError(
-                f"matching marginal requires p < 1 + alpha; got p={self.p!r}, alpha={self.alpha!r}"
-            )
+        benchmark_exponent(self.p, self.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +213,6 @@ def b2_sample(theta, count, seed):
     with np.errstate(all="ignore"):
         s = theta.b * (rng.gamma(theta.p, size=count) / rng.gamma(theta.q, size=count))
     return _checked_draws(s)
-
-
-def halft_to_b2(dof, scale):
-    """Map a Half-t(dof, scale) prior on a standard deviation to the base
-    prior it induces on the variance: b = dof * scale^2, p = 1/2,
-    q = dof / 2."""
-    dof, scale = positive("dof", dof), positive("scale", scale)
-    return B2Params(b=dof * scale * scale, p=0.5, q=dof / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,6 @@ def b2_cdf(s, b, p, q):
     return float(mp.betainc(p, q, 0, s / (s + b), regularized=True))
 
 
-def halft_pdf(t, dof, scale):
-    # density of |T| where T is Student-t with `dof` degrees of freedom
-    # scaled by `scale`
-    t, d, c = map(mp.mpf, (t, dof, scale))
-    norm = 2 * mp.gamma((d + 1) / 2) / (mp.gamma(d / 2) * mp.sqrt(d * mp.pi) * c)
-    return float(norm * (1 + t**2 / (d * c**2)) ** (-(d + 1) / 2))
-
-
 def gamma_mixture_marginal_pdf(x, alpha, beta, b, p, q):
     """Marginal density of X where X | y ~ Gamma(alpha, rate beta/y) and
     y follows a beta-prime law with scale b and shapes (p, q).

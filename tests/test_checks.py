@@ -1,12 +1,15 @@
 """One table of the integer rule: every integer input of the library takes
 an int or a numpy integer and refuses floats (integral ones too), bools
 and strings, with a message that names the input.  The samplers' draw
-count keeps its cases with each sampler's tests."""
+count keeps its cases with each sampler's tests.  Each record that holds
+the marginal benchmark's existence rule, p < 1 + alpha, gives one
+message."""
 
 import numpy as np
 import pytest
 
 from dsdprior.elicit import ElicitationSpec
+from dsdprior.priors import DsdParams, TwoF0Params
 from dsdprior.structure import (
     DesignMatrix,
     QfWeights,
@@ -54,3 +57,20 @@ def test_integer_rule_rejects(key, bad):
 def test_numpy_integer_is_the_int(key):
     _, call, good, _ = INTEGERS[key]
     np.testing.assert_equal(vars(call(np.int64(good))), vars(call(good)))
+
+
+# record -> a call taking p, with alpha = 1 (n = 3 for the elicitation)
+BENCHMARK_RECORDS = {
+    "TwoF0Params": lambda p: TwoF0Params(alpha=1.0, beta=1.0, b=1.0, p=p, q=1.5),
+    "DsdParams": lambda p: DsdParams(1.0, 1.0, 2.5, 1.0, 1.0, p, 1.5),
+    "ElicitationSpec": lambda p: ElicitationSpec(n=3, c=1.0, p=p),
+}
+
+
+@pytest.mark.parametrize("record", BENCHMARK_RECORDS)
+def test_benchmark_rule_gives_one_message(record):
+    call = BENCHMARK_RECORDS[record]
+    call(1.9)
+    message = r"^marginal benchmark requires p < 1 \+ alpha; got p=2.0, alpha=1.0$"
+    with pytest.raises(ValueError, match=message):
+        call(2.0)

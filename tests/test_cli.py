@@ -3,7 +3,6 @@ deterministic-output contract, and the exit-code protocol."""
 
 import json
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -94,6 +93,23 @@ class TestStructureCommand:
     def test_bad_recipe_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"recipe": "rw7 10"})
         assert run("structure", "--config", cfg, "--out", tmp_path / "out") == 1
+
+    def test_integral_float_size_is_the_size(self, tmp_path):
+        # a recipe size passes the integer rule of config keys, so 20.0 is 20
+        blobs = []
+        for tag, recipe in (("int", "rw2 20"), ("float", "rw2 20.0")):
+            cfg = write_config(tmp_path / f"{tag}.json", {"recipe": recipe})
+            assert run("structure", "--config", cfg, "--out", tmp_path / tag) == 0
+            blobs.append((tmp_path / tag / "structure.mtx").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("recipe", ["rw2 20.5", "iid true", "crw1 0", "iid 0"])
+    def test_bad_size_names_the_recipe(self, tmp_path, capsys, recipe):
+        cfg = write_config(tmp_path / "cfg.json", {"recipe": recipe})
+        assert run("structure", "--config", cfg, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: structure recipe {recipe!r}: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_reruns_write_identical_matrix_files(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"recipe": "crw2 1000"})
@@ -307,6 +323,14 @@ class TestElicitCommand:
         assert run("elicit", "--config", cfg, "--out", out) == 0
         assert json.loads((out / "elicit.json").read_text())["c"] == 4.0
 
+    @pytest.mark.parametrize("kind", ["gaussian", "user_supplied"])
+    def test_known_bound_is_given_as_c(self, tmp_path, capsys, kind):
+        # a Gaussian response's sample variance, or any known bound, is c
+        likelihood = {"kind": kind, "value": 2.0}
+        cfg = write_config(tmp_path / "cfg.json", {"n": 50, "likelihood": likelihood})
+        assert run("elicit", "--config", cfg, "--out", tmp_path / "out") == 1
+        assert "unknown likelihood kind" in capsys.readouterr().err
+
     def test_mean_too_close_to_zero_is_a_config_error(self, tmp_path, capsys):
         likelihood = {"kind": "binomial_probit", "value": 1e-300}
         cfg = write_config(tmp_path / "cfg.json", {"n": 50, "likelihood": likelihood})
@@ -341,9 +365,9 @@ class TestPriorCommand:
         np.testing.assert_allclose(pdf, dsd_pdf(s, theta), rtol=1e-12)
 
     def test_sd_grid_uses_change_of_variables(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", {"params": GENERIC_PARAMS})
+        cfg = write_config(tmp_path / "cfg.json", {"params": GENERIC_PARAMS, "grid_points": 64})
         out = tmp_path / "out"
-        assert run("prior", "--config", cfg, "--out", out, "--grid-points", 64) == 0
+        assert run("prior", "--config", cfg, "--out", out) == 0
         grid = np.loadtxt(out / "prior_sd_grid.csv", delimiter=",", skiprows=1)
         assert grid.shape == (64, 2)
         t, pdf = grid.T
@@ -359,6 +383,19 @@ class TestPriorCommand:
         bad["p"] = 1e-7
         cfg = write_config(tmp_path / "cfg.json", {"params": bad})
         assert run("prior", "--config", cfg, "--out", tmp_path / "out") == 2
+
+    def test_grid_points_is_an_integer_key(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {"params": GENERIC_PARAMS, "grid_points": 30.0})
+        out = tmp_path / "out"
+        assert run("prior", "--config", cfg, "--out", out) == 0
+        assert np.loadtxt(out / "prior_grid.csv", delimiter=",", skiprows=1).shape == (30, 3)
+        assert json.loads((out / "manifest.json").read_text())["settings"] == {"grid_points": 30}
+
+    def test_grid_needs_two_points(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", {"params": GENERIC_PARAMS, "grid_points": 1})
+        assert run("prior", "--config", cfg, "--out", tmp_path / "out") == 1
+        assert "config key 'grid_points' must be >= 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSampleCommand:
@@ -535,6 +572,7 @@ class TestExitCodes:
         "command, flag",
         [
             ("pipeline", "--threads"),
+            ("prior", "--grid-points"),
             ("elicit", "--seed"),
             ("elicit", "--mc-draws"),
             ("sample", "--grid-points"),
@@ -584,6 +622,7 @@ class TestIntegerKeys:
                     "structure": {"recipe": "rw2 5"},
                 },
             ),
+            ("prior", {"params": GENERIC_PARAMS, "grid_points": 2.5}),
         ],
     )
     def test_non_integer_is_rejected(self, tmp_path, capsys, command, payload):
@@ -619,18 +658,12 @@ class TestIntegerKeys:
 
 class TestReadmeFlagTable:
     def test_table_lists_the_registered_flags(self):
-        # the README's flag table must name exactly the (command, flag)
-        # pairs the parser registers beyond --config and --out
+        # every command registers --config and --out and nothing else, and
+        # the README says so in one sentence instead of a flag table
         readme = Path(__file__).resolve().parents[1] / "README.md"
-        lines = readme.read_text(encoding="utf-8").splitlines()
-        start = lines.index("| flag | commands | meaning |")
-        documented = set()
-        for line in lines[start + 2:]:
-            if not line.startswith("|"):
-                break
-            flag_cell, commands_cell = line.split("|")[1:3]
-            flag = re.findall(r"`(--[\w-]+)", flag_cell)[0]
-            documented |= {(cmd, flag) for cmd in re.findall(r"`(\w+)`", commands_cell)}
+        text = readme.read_text(encoding="utf-8")
+        assert "The only flags are `--config` and `--out`" in text
+        assert "| flag |" not in text
         parser = cli._build_parser()
         (subparsers,) = (a for a in parser._actions if a.choices and a.dest == "command")
         registered = {
@@ -638,10 +671,11 @@ class TestReadmeFlagTable:
             for name, sub in subparsers.choices.items()
             for action in sub._actions
             for option in action.option_strings
-            if option.startswith("--") and option not in ("--config", "--out", "--help")
+            if option.startswith("--") and option != "--help"
         }
-        assert registered == documented
-        assert registered == {("prior", "--grid-points")}
+        assert registered == {
+            (name, flag) for name in cli._COMMANDS for flag in ("--config", "--out")
+        }
 
 
 class TestImportGraph:

@@ -33,37 +33,27 @@ def _fixed_effect(x):
 
 
 class TestLikelihoodKind:
-    """The likelihood kinds pseudo_variance accepts and the statistic
-    range of each."""
+    """The likelihood kinds pseudo_variance accepts, the two binomial
+    links, and the mean range of each.  A known bound, such as a Gaussian
+    response's sample variance, is c itself and has no kind."""
 
     def test_valid_constructors(self):
-        assert pseudo_variance("gaussian", 2) == 2.0
         assert pseudo_variance("binomial_logit", 0.3) == 1.0 / (0.3 * 0.7)
         assert pseudo_variance("binomial_probit", 0.7) > 0.0
-        assert pseudo_variance("user_supplied", 5.0) == 5.0
 
     def test_rejects_invalid_statistics(self):
-        with pytest.raises(ValueError):
-            pseudo_variance("gaussian", 0.0)
         with pytest.raises(ValueError):
             pseudo_variance("binomial_logit", 1.0)
         with pytest.raises(ValueError):
             pseudo_variance("binomial_probit", -0.1)
-        with pytest.raises(ValueError):
-            pseudo_variance("user_supplied", 0.0)
-        with pytest.raises(ValueError, match="finite"):
-            pseudo_variance("gaussian", math.inf)
-        with pytest.raises(ValueError, match="unknown likelihood kind"):
-            pseudo_variance("poisson", 1.0)
+        with pytest.raises(ValueError, match="strictly inside"):
+            pseudo_variance("binomial_logit", math.inf)
+        for kind in ("poisson", "gaussian", "user_supplied"):
+            with pytest.raises(ValueError, match="unknown likelihood kind"):
+                pseudo_variance(kind, 1.0)
 
 
 class TestPseudoVariance:
-    def test_gaussian_passthrough(self):
-        assert pseudo_variance("gaussian", 2.37) == 2.37
-
-    def test_user_passthrough(self):
-        assert pseudo_variance("user_supplied", 5.16) == 5.16
-
     def test_logit_at_half(self):
         assert pseudo_variance("binomial_logit", 0.5) == pytest.approx(4.0, rel=1e-14)
 
@@ -111,7 +101,7 @@ class TestElicitationSpec:
             ElicitationSpec(n=10, c=0.0)
         with pytest.raises(ValueError):
             ElicitationSpec(n=10, c=1.0, pi0=1.0)
-        with pytest.raises(ValueError, match="1 \\+ \\(n-1\\)/2"):
+        with pytest.raises(ValueError, match="p < 1 \\+ alpha; got p=2.0, alpha=1.0"):
             ElicitationSpec(n=3, c=1.0, p=2.0)
 
 

@@ -29,7 +29,6 @@ from dsdprior.priors import (
     dsd_logpdf,
     dsd_pdf,
     dsd_sample,
-    halft_to_b2,
     integral_equation_residual,
     twoF0_logpdf,
     twoF0_pdf,
@@ -232,23 +231,6 @@ class TestB2Sample:
 def test_b2_quantile_cdf_round_trip_property(b, p, q, u):
     theta = B2Params(b, p, q)
     assert b2_cdf(b2_quantile(u, theta), theta) == pytest.approx(u, abs=1e-9)
-
-
-class TestHalfT:
-    def test_parameter_mapping(self):
-        theta = halft_to_b2(1.0, 1.0)
-        assert (theta.b, theta.p, theta.q) == (1.0, 0.5, 0.5)
-        theta = halft_to_b2(3.0, 2.0)
-        assert (theta.b, theta.p, theta.q) == (12.0, 0.5, 1.5)
-
-    def test_density_identity_on_sd_scale(self):
-        # the induced density on sigma, 2 t f(t^2), is the Half-t density
-        for dof, scale in ((1.0, 1.0), (3.0, 2.0), (7.0, 0.5)):
-            theta = halft_to_b2(dof, scale)
-            for t in np.linspace(0.05, 6.0, 10):
-                got = 2.0 * t * b2_pdf(t * t, theta)
-                want = float(oracles.halft_pdf(t, dof, scale))
-                assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestTwoF0Params:

@@ -1,8 +1,10 @@
 """Input rules, each written once, for every module that takes inputs.
 
 An integer is an int or a numpy integer, never a bool or a float, so no
-value is truncated; only the command line turns JSON's 30.0 into 30.
-Arrays are checked by their min and max, with no mask of their size.
+value is truncated; only the command line turns JSON's 30.0 into 30. A
+real number is an int, a float or a numpy real, never a bool or a
+string. Arrays are checked by their min and max, with no mask of their
+size.
 """
 
 import math
@@ -23,6 +25,12 @@ __all__ = [
 
 def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(name, value) -> float:
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def integer(name, value, minimum=None) -> int:
@@ -47,7 +55,7 @@ def draw_count(count) -> int:
 
 
 def positive(name, value) -> float:
-    value = float(value)
+    value = _real(name, value)
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
@@ -69,12 +77,13 @@ def positive_array(name, x) -> np.ndarray:
 
 
 def probabilities(name, u) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    arr = np.atleast_1d(np.asarray(_real(name, u) if np.isscalar(u) else u, dtype=float))
     if not (arr.size and 0.0 < arr.min() and arr.max() < 1.0):
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return arr
 
 
 def finite(name, a):
-    if not np.all(np.isfinite((a.min(), a.max()))):
+    # initial=0 lets an empty array pass: a sparse matrix of zeros stores none
+    if not np.all(np.isfinite((a.min(initial=0.0), a.max(initial=0.0)))):
         raise ValueError(f"{name} must be finite")

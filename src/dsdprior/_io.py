@@ -4,11 +4,11 @@ All emitters pin their byte output, so identical inputs give
 byte-identical files.  JSON and CSV write each float as
 ``repr(float(x))``, the shortest string that reads back to the same
 double, reject non-finite values, sort JSON keys and end every line
-with LF.  Matrix Market files come from ``scipy.io.mmwrite``: the dense
-array layout in general form, a ``%`` line after the header, and each
-value as its shortest round-trip string (``6`` for 6.0), so a read-back
-is bit-exact.  They are read in array or coordinate layout, general or
-symmetric, as a dense read-only array.
+with LF.  Matrix Market files come from ``scipy.io.mmwrite``: a sparse
+matrix in coordinate layout and general form, a ``%`` line after the
+header, and each value as its shortest round-trip string (``6`` for
+6.0), so a read-back is bit-exact.  They are read in array or
+coordinate layout, general or symmetric, into a CSR array.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import scipy.io
-from scipy.sparse import issparse
+from scipy.sparse import csr_array
 
 __all__ = [
     "dump_json",
@@ -77,12 +77,7 @@ def write_matrix_market(path, a):
 
 
 def read_matrix_market(path):
-    # array or coordinate layout (mmread gives a sparse array for the latter),
-    # dense and read-only, so a StructureSpec or DesignMatrix keeps it without a copy
-    a = scipy.io.mmread(path)
-    a = np.asarray(a.toarray() if issparse(a) else a, dtype=float)
-    a.setflags(write=False)
-    return a
+    return csr_array(scipy.io.mmread(path), dtype=float)
 
 
 def sha256_file(path):

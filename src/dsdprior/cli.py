@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+from scipy.sparse import csr_array, eye_array
 from scipy.special import erf
 
 from . import __version__
@@ -142,9 +143,10 @@ def _integer(cfg, key, default=None, where="config", minimum=None):
 # config -> library objects
 
 
-def _read_edge_list(path: Path) -> np.ndarray:
+def _read_edge_list(path: Path) -> csr_array:
     """Whitespace-separated '<i> <j>' vertex pairs, 0-based, one edge per
-    line; '#' starts a comment. Vertex count is the largest index + 1."""
+    line; '#' starts a comment. Vertex count is the largest index + 1.
+    An edge listed twice, or both ways, is one edge of the sparse W."""
     pairs = []
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,11 +163,9 @@ def _read_edge_list(path: Path) -> np.ndarray:
         pairs.append((i, j))
     if not pairs:
         raise ValueError(f"{path.name}: edge list is empty")
-    n = max(max(i, j) for i, j in pairs) + 1
-    adjacency = np.zeros((n, n))
-    for i, j in pairs:
-        adjacency[i, j] = adjacency[j, i] = 1.0
-    return adjacency
+    i, j = np.unique(np.sort(pairs, axis=1), axis=0).T
+    n = int(j.max()) + 1
+    return csr_array((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
 
 
 def _load_structure(cfg, ctx: _RunContext) -> StructureSpec:
@@ -188,10 +188,7 @@ def _load_structure(cfg, ctx: _RunContext) -> StructureSpec:
                 return build_rw(order=int(walk.group(2)), n_g=n_g, circular=bool(walk.group(1)))
         except ValueError as exc:
             raise ValueError(f"structure recipe {recipe!r}: {exc}") from None
-        # read-only, so StructureSpec keeps it without a copy
-        identity = np.eye(n_g)
-        identity.setflags(write=False)
-        return StructureSpec(precision=identity, rank_deficiency=0, label=f"iid({n_g})")
+        return StructureSpec(eye_array(n_g, format="csr"), rank_deficiency=0, label=f"iid({n_g})")
     if head == "icar":
         path = ctx.track_input(ctx.resolve(arg))
         return build_icar(_read_edge_list(path))
@@ -199,9 +196,7 @@ def _load_structure(cfg, ctx: _RunContext) -> StructureSpec:
         # a matrix file does not record its rank deficiency; the config must
         kappa = _integer(cfg, "rank_deficiency", where="structure config")
         path = ctx.track_input(ctx.resolve(arg))
-        return StructureSpec(
-            precision=read_matrix_market(path), rank_deficiency=kappa, label=f"file({path.name})"
-        )
+        return StructureSpec(read_matrix_market(path), kappa, label=f"file({path.name})")
     raise ValueError(f"unknown structure recipe {head!r}")
 
 

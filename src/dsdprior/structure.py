@@ -11,13 +11,9 @@ Gaussian with precision K / sigma2, nu = sqrt(sigma2) E gamma with gamma
 spherical and E = Z U+ Lambda+^{-1/2} the effect map (U+ and Lambda+
 the range eigenvectors and eigenvalues of K), so V given sigma2 is a
 weighted sum of chi-squared(1) variables whose weights are the nonzero
-eigenvalues of (ME)'(ME).
-
-Where the weights follow from K's spectrum alone, its eigenvalues come
-from a banded route: K's nonzero pattern is permuted by reverse
-Cuthill-McKee and LAPACK's banded solver takes the permuted band, at a
-cost of order n_g^2 u for half-bandwidth u. A band wider than
-_BAND_FRACTION * n_g takes the dense eigvalsh instead.
+eigenvalues of (ME)'(ME). K and Z are held as read-only scipy.sparse
+CSR arrays (see _frozen); only the effect map and the dense eigvalsh of
+a wide band (see _symmetric_eigvals) densify them.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import eigvals_banded
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, diags_array, eye_array
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from ._checks import finite, integer, positive_array
@@ -54,20 +50,31 @@ _DESIGN_KINDS = ("identity", "selection", "basis", "covariate-column")
 _BAND_FRACTION = 0.04
 
 
-def _as_readonly(a):
-    # a read-only float64 array owning its data, as the builders hand over
-    # (see _frozen), is kept; anything else is copied, so no caller can change it
-    owned = type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
-    if owned and not a.flags.writeable:
-        return a
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
+def _buffers(a: csr_array) -> tuple:
+    return a.data, a.indices, a.indptr
+
+
+def _frozen(a) -> csr_array:
+    """a as a canonical float64 CSR array (sorted indices, no duplicates
+    or stored zeros) whose buffers are read-only and own their memory.
+    Such an array is kept, so records pass K and Z on without a copy;
+    anything else, dense or sparse, is copied once."""
+    if isinstance(a, csr_array) and a.dtype == np.float64 and a.has_canonical_format:
+        if not any(b.flags.writeable or not b.flags.owndata for b in _buffers(a)):
+            return a
+    out = csr_array(a, dtype=float, copy=True)
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    out.data, out.indices, out.indptr = (np.require(b, requirements="O") for b in _buffers(out))
+    for b in _buffers(out):
+        b.setflags(write=False)
     return out
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _is_symmetric(a: csr_array) -> bool:
+    # a canonical CSR is symmetric when its transpose, made CSR (which
+    # sorts the indices), stores the same arrays
+    return all(np.array_equal(x, y) for x, y in zip(_buffers(a), _buffers(a.T.tocsr())))
 
 
 @dataclass
@@ -77,36 +84,33 @@ class StructureSpec:
     given, is all n_g eigenvalues of K in ascending order, known in
     closed form; it is checked against K's trace and Frobenius norm."""
 
-    precision: np.ndarray
+    precision: csr_array
     rank_deficiency: int
     label: str = ""
     spectrum: np.ndarray | None = None
 
     def __post_init__(self):
-        k = np.asarray(self.precision, dtype=float)
+        k = _frozen(self.precision)
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 1:
             raise ValueError("precision must be a square matrix")
-        finite("precision", k)
-        # an exactly symmetric K, as every builder makes, is its own
-        # symmetric part; comparing it with K' in blocks of b rows spares
-        # the transposed passes and an n_g x n_g mask
-        n_g, b = k.shape[0], 256
-        if not all(np.array_equal(k[i : i + b], k[:, i : i + b].T) for i in range(0, n_g, b)):
-            scale = max(1.0, float(np.max(np.abs(k))))
-            if np.max(np.abs(k - k.T)) > 1e-12 * scale:
+        finite("precision", k.data)
+        if not _is_symmetric(k):
+            scale = max(1.0, float(np.max(np.abs(k.data))))
+            if abs(k - k.T).max() > 1e-12 * scale:
                 raise ValueError("precision must be symmetric")
-            k = (k + k.T) / 2.0
+            k = _frozen((k + k.T) / 2.0)
+        self.precision = k
         self.rank_deficiency = integer("rank_deficiency", self.rank_deficiency)
-        if not 0 <= self.rank_deficiency < n_g:
+        if not 0 <= self.rank_deficiency < self.n_g:
             raise ValueError("rank_deficiency must lie in [0, n_g)")
-        self.precision = _as_readonly(k)
         if self.spectrum is not None:
-            lam = _as_readonly(self.spectrum)
+            lam = np.array(self.spectrum, dtype=float)
+            lam.setflags(write=False)
             ok = (
-                lam.shape == (n_g,)
+                lam.shape == (self.n_g,)
                 and np.all(np.diff(lam) >= 0.0)
-                and np.isclose(lam.sum(), np.trace(k), rtol=1e-10, atol=0.0)
-                and np.isclose(lam @ lam, np.vdot(k, k), rtol=1e-10, atol=0.0)
+                and np.isclose(lam.sum(), k.trace(), rtol=1e-10, atol=0.0)
+                and np.isclose(lam @ lam, k.data @ k.data, rtol=1e-10, atol=0.0)
             )
             if not ok:
                 raise ValueError(
@@ -124,23 +128,23 @@ class DesignMatrix:
     """Predictor-to-coefficient map Z (n x m) plus a kind tag that
     records how it was built."""
 
-    values: np.ndarray
+    values: csr_array
     kind: str
 
     def __post_init__(self):
-        z = _as_readonly(self.values)
+        z = _frozen(self.values)
         if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
             raise ValueError("design matrix must be 2-d and non-empty")
-        finite("design matrix", z)
+        finite("design matrix", z.data)
         if self.kind not in _DESIGN_KINDS:
             raise ValueError(f"unknown design kind {self.kind!r}; expected one of {_DESIGN_KINDS}")
         if self.kind == "identity":
-            # n nonzeros, all on a unit diagonal, is Z = I without a second n x n array
+            # n stored entries, all on a unit diagonal, is Z = I
             n = z.shape[0]
-            if z.shape[1] != n or np.count_nonzero(z) != n or not np.all(np.diagonal(z) == 1.0):
+            if z.shape[1] != n or z.nnz != n or not np.all(z.diagonal() == 1.0):
                 raise ValueError("identity kind requires Z = I")
         if self.kind == "selection":
-            one_hot = np.all(np.isin(z, (0.0, 1.0))) and np.all(z.sum(axis=1) == 1.0)
+            one_hot = np.all(np.diff(z.indptr) == 1) and np.all(z.data == 1.0)
             if not one_hot:
                 raise ValueError("selection kind requires exactly one unit entry per row")
         if self.kind == "covariate-column" and z.shape[1] != 1:
@@ -149,7 +153,7 @@ class DesignMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "DesignMatrix":
-        return cls(values=_frozen(np.eye(integer("n", n))), kind="identity")
+        return cls(values=eye_array(integer("n", n), format="csr"), kind="identity")
 
     @property
     def n(self) -> int:
@@ -176,34 +180,33 @@ class QfWeights:
             raise ValueError("weights must be a vector")
         self.n_predictor = integer("n_predictor", self.n_predictor, 2)
         self.zero_count = integer("zero_count", self.zero_count, 0)
-        self.weights = _frozen(np.sort(positive_array("weights", self.weights)))
+        self.weights = np.sort(positive_array("weights", self.weights))
+        self.weights.setflags(write=False)
 
 
 def build_rw(order: int, n_g: int, circular: bool = False) -> StructureSpec:
     """Random walk precision of the given order on n_g equally spaced
-    points, K = D'D with D the order-th difference operator. Circular
-    variants wrap the differences around; they lose only the constant
-    (rank deficiency 1) whereas the line-graph walk of order r loses the
-    full degree-(r-1) polynomial space (rank deficiency r).
+    points, K = D'D with D the sparse order-th difference operator.
+    Circular variants wrap the differences around; they lose only the
+    constant (rank deficiency 1) whereas the line-graph walk of order r
+    loses the full degree-(r-1) polynomial space (rank deficiency r).
 
-    K is filled stencil by stencil: each row of D adds the outer product
-    of its difference stencil, so the integer entries come out exactly
-    as in D'D. Every walk but rw2 on a line carries its closed-form
-    spectrum (Rue & Held 2005, GMRF, sec. 3.1): 4 sin^2(pi k / 2n) for
-    rw1, 4 sin^2(pi k / n) for crw1 and its square for crw2, with
-    k = 0..n-1; sin keeps relative accuracy where 2 - 2 cos cancels."""
+    Every walk but rw2 on a line carries its closed-form spectrum (Rue &
+    Held 2005, GMRF, sec. 3.1): 4 sin^2(pi k / 2n) for rw1,
+    4 sin^2(pi k / n) for crw1 and its square for crw2, with k = 0..n-1;
+    sin keeps relative accuracy where 2 - 2 cos cancels."""
     order = integer("order", order)
     if order not in (1, 2):
         raise ValueError("walk order must be 1 or 2")
     n_g = integer("n_g", n_g, order + 2)
     stencil = (-1.0, 1.0) if order == 1 else (1.0, -2.0, 1.0)
-    rows = np.arange(n_g if circular else n_g - order)
-    precision = np.zeros((n_g, n_g))
-    for a, ca in enumerate(stencil):
-        for b, cb in enumerate(stencil):
-            # distinct rows of D hit distinct entries for one (a, b); on a
-            # short circle two (a, b) pairs can wrap onto one entry and add
-            precision[(rows + a) % n_g, (rows + b) % n_g] += ca * cb
+    # row i of D holds the stencil from column i on, wrapped on a circle
+    rows, width = n_g if circular else n_g - order, order + 1
+    cols = (np.arange(rows)[:, None] + np.arange(width)) % n_g
+    d = csr_array(
+        (np.tile(stencil, rows), cols.ravel(), np.arange(0, rows * width + 1, width)),
+        shape=(rows, n_g),
+    )
     k = np.arange(n_g)
     if circular:
         crw1 = 4.0 * np.sin(np.pi * np.minimum(k, n_g - k) / n_g) ** 2
@@ -212,29 +215,29 @@ def build_rw(order: int, n_g: int, circular: bool = False) -> StructureSpec:
         spectrum = 4.0 * np.sin(np.pi * k / (2 * n_g)) ** 2 if order == 1 else None
     tag = f"crw{order}" if circular else f"rw{order}"
     return StructureSpec(
-        precision=_frozen(precision),
+        precision=d.T @ d,
         rank_deficiency=1 if circular else order,
         label=f"{tag}({n_g})",
         spectrum=spectrum,
     )
 
 
-def build_icar(adjacency: np.ndarray) -> StructureSpec:
-    """Intrinsic conditional autoregression on an undirected graph:
-    K = diag(degree) - W. Rank deficiency equals the number of connected
-    components (isolated vertices each count as a component)."""
-    w = np.array(adjacency, dtype=float)
+def build_icar(adjacency) -> StructureSpec:
+    """Intrinsic conditional autoregression on an undirected graph given
+    by its adjacency W, dense or sparse: K = diag(degree) - W. Rank
+    deficiency equals the number of connected components (isolated
+    vertices each count as a component)."""
+    w = _frozen(adjacency)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 2:
         raise ValueError("adjacency must be square with at least two vertices")
-    if not np.array_equal(w, w.T):
+    if not _is_symmetric(w):
         raise ValueError("adjacency must be symmetric")
-    if np.any(np.diag(w) != 0.0):
+    if np.any(w.diagonal()):
         raise ValueError("adjacency must have a zero diagonal (no self loops)")
-    if not np.all(np.isin(w, (0.0, 1.0))):
+    if not np.all(w.data == 1.0):
         raise ValueError("adjacency entries must be 0 or 1")
-    kappa, _ = connected_components(csr_matrix(w), directed=False)
-    precision = np.diag(w.sum(axis=1)) - w
-    return StructureSpec(precision=_frozen(precision), rank_deficiency=int(kappa), label="icar")
+    kappa, _ = connected_components(w, directed=False)
+    return StructureSpec(diags_array(w.sum(axis=1)) - w, rank_deficiency=int(kappa), label="icar")
 
 
 def build_bspline_basis(x, m: int, degree: int = 3, bounds=None) -> DesignMatrix:
@@ -257,8 +260,7 @@ def build_bspline_basis(x, m: int, degree: int = 3, bounds=None) -> DesignMatrix
     n_seg = m - degree
     dx = (hi - lo) / n_seg
     knots = lo + dx * np.arange(-degree, n_seg + degree + 1)
-    values = BSpline.design_matrix(x, knots, degree, extrapolate=False).toarray()
-    return DesignMatrix(values=_frozen(values), kind="basis")
+    return DesignMatrix(BSpline.design_matrix(x, knots, degree, extrapolate=False), "basis")
 
 
 def _null_eigs(eigs: np.ndarray, rank_deficiency: int, exact: bool = False) -> np.ndarray:
@@ -288,38 +290,39 @@ def _effect_map(design: DesignMatrix, spec: StructureSpec) -> np.ndarray:
     """E = Z U+ Lambda+^{-1/2}, n x (n_g - kappa), from one symmetric
     eigendecomposition of K split at the declared rank deficiency (see
     _null_eigs): the constrained effect nu = Z beta is sqrt(sigma2) E gamma
-    with gamma standard normal."""
-    eigs, vecs = np.linalg.eigh(spec.precision)
+    with gamma standard normal. Z is densified before the product."""
+    eigs, vecs = np.linalg.eigh(spec.precision.toarray())
     keep = ~_null_eigs(eigs, spec.rank_deficiency)
-    return design.values @ (vecs[:, keep] * eigs[keep] ** -0.5)
+    return design.values.toarray() @ (vecs[:, keep] * eigs[keep] ** -0.5)
 
 
-def _symmetric_eigvals(k: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+def _symmetric_eigvals(k: csr_array, r: np.ndarray | None = None) -> np.ndarray:
     """Ascending eigenvalues of diag(r) K diag(r) (of K when r is None).
 
-    K's nonzero pattern is permuted by reverse Cuthill-McKee; when the
-    permuted half-bandwidth u is at most _BAND_FRACTION * n_g, the entries
+    K is permuted by reverse Cuthill-McKee; when the permuted
+    half-bandwidth u is at most _BAND_FRACTION * n_g, the entries
     k_ij r_i r_j fill LAPACK lower band storage for eigvals_banded. A
     wider band takes the dense eigvalsh. A K with more than
     n_g (2 u_max + 1) nonzeros has a row wider than that band under any
     permutation, so it goes dense without the search."""
     n = k.shape[0]
     u_max = int(_BAND_FRACTION * n)
-    if np.count_nonzero(k) <= n * (2 * u_max + 1):
-        rows, cols = np.nonzero(k)
-        pattern = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    if k.nnz <= n * (2 * u_max + 1):
         pos = np.empty(n, dtype=np.intp)
-        pos[reverse_cuthill_mckee(pattern, symmetric_mode=True)] = np.arange(n)
+        pos[reverse_cuthill_mckee(k, symmetric_mode=True)] = np.arange(n)
+        entries = k.tocoo()
+        (rows, cols), vals = entries.coords, entries.data
         i, j = pos[rows], pos[cols]
-        lower = i >= j
-        rows, cols, diag, j = rows[lower], cols[lower], (i - j)[lower], j[lower]
-        u = int(np.max(diag, initial=0))
+        # K is symmetric, so its widest lower entry sets u
+        u = int(np.max(i - j, initial=0))
         if u <= u_max:
-            vals = k[rows, cols] if r is None else k[rows, cols] * r[rows] * r[cols]
+            lower = i >= j
             band = np.zeros((u + 1, n))
-            band[diag, j] = vals
+            scaled = vals if r is None else vals * r[rows] * r[cols]
+            band[(i - j)[lower], j[lower]] = scaled[lower]
             return eigvals_banded(band, lower=True, overwrite_a_band=True)
-    return np.linalg.eigvalsh(k if r is None else r[:, None] * k * r)
+    dense = k.toarray()
+    return np.linalg.eigvalsh(dense if r is None else r[:, None] * dense * r)
 
 
 def _weight_reciprocals(design: DesignMatrix, spec: StructureSpec) -> np.ndarray | None:
@@ -366,13 +369,10 @@ def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> 
     weights[k] * chi-squared(1). The weights are the nonzero eigenvalues
     of (Z'MZ) K^-. Identity designs on a K with equal row sums, and
     selection designs observing every region of a K with null space
-    span(1), take them from one eigenvalues-only solve of K (or of its
-    diagonally scaled copy), or from the closed-form spectrum a walk
-    carries. That solve is banded: LAPACK's eigvals_banded on K's
-    reverse Cuthill-McKee band, or dense eigvalsh where the half-bandwidth
-    exceeds _BAND_FRACTION * n_g. Every other design takes them from the Gram
-    matrix (ME)'(ME) of the column-centered effect map. Either way a
-    symmetric eigensolve gives them in deterministic ascending order.
+    span(1), take them from K's spectrum (see _weight_reciprocals).
+    Every other design takes them from the Gram matrix (ME)'(ME) of the
+    column-centered effect map. Either way a symmetric eigensolve gives
+    them in deterministic ascending order.
 
     An improper structure (rank_deficiency > 0) is only meaningful under
     the null-space constraint U0' beta = 0; asking for the unconstrained

@@ -1,15 +1,18 @@
 """One table of the integer rule: every integer input of the library takes
 an int or a numpy integer and refuses floats (integral ones too), bools
 and strings, with a message that names the input.  The samplers' draw
-count keeps its cases with each sampler's tests.  Each record that holds
-the marginal benchmark's existence rule, p < 1 + alpha, gives one
-message."""
+count keeps its cases with each sampler's tests.  A second table holds
+the real-number rule: every float input takes an int, a float or a numpy
+real and refuses strings and bools.  Each record that holds the marginal
+benchmark's existence rule, p < 1 + alpha, gives one message."""
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
-from dsdprior.elicit import ElicitationSpec
+from dsdprior.elicit import ElicitationSpec, pseudo_variance
 from dsdprior.priors import DsdParams, TwoF0Params
+from dsdprior.qf import sample_v
 from dsdprior.structure import (
     DesignMatrix,
     QfWeights,
@@ -53,10 +56,48 @@ def test_integer_rule_rejects(key, bad):
         call(BAD[bad](good, fraction))
 
 
+def _fields(record):
+    # a sparse K or Z compares as its dense array
+    return {k: v.toarray() if issparse(v) else v for k, v in vars(record).items()}
+
+
 @pytest.mark.parametrize("key", INTEGERS)
 def test_numpy_integer_is_the_int(key):
     _, call, good, _ = INTEGERS[key]
-    np.testing.assert_equal(vars(call(np.int64(good))), vars(call(good)))
+    np.testing.assert_equal(_fields(call(np.int64(good))), _fields(call(good)))
+
+
+# id -> (the input's name, a call that takes it, a value it accepts)
+REALS = {
+    "c": ("c", lambda v: ElicitationSpec(n=30, c=v), 2.0),
+    "p": ("p", lambda v: ElicitationSpec(n=30, c=1.0, p=v), 0.5),
+    "q": ("q", lambda v: ElicitationSpec(n=30, c=1.0, q=v), 1.5),
+    "pi0": ("pi0", lambda v: ElicitationSpec(n=30, c=1.0, pi0=v), 0.5),
+    "mean": ("binomial_logit mean", lambda v: pseudo_variance("binomial_logit", v), 0.27),
+    "beta": ("beta", lambda v: DsdParams(24.5, v, 1.43, 0.061, 1.0, 0.5, 1.5), 24.5),
+    "b": ("b", lambda v: DsdParams(24.5, 24.5, 1.43, 0.061, v, 0.5, 1.5), 1.0),
+    "sigma2": ("sigma2", lambda v: sample_v(QfWeights(WEIGHTS, 10, 1), v, count=3, seed=0), 1.0),
+}
+
+NOT_REAL = {
+    "string": lambda good: str(good),
+    "bool": lambda good: True,
+    "numpy-bool": lambda good: np.True_,
+}
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
+@pytest.mark.parametrize("key", REALS)
+def test_real_rule_rejects(key, bad):
+    name, call, good = REALS[key]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        call(NOT_REAL[bad](good))
+
+
+@pytest.mark.parametrize("key", REALS)
+def test_numpy_real_is_the_float(key):
+    _, call, good = REALS[key]
+    np.testing.assert_equal(call(np.float64(good)), call(good))
 
 
 # record -> a call taking p, with alpha = 1 (n = 3 for the elicitation)

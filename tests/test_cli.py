@@ -44,7 +44,7 @@ class TestStructureCommand:
         assert meta["n_g"] == 12
         assert meta["rank_deficiency"] == 2
         k = read_matrix_market(out / "structure.mtx")
-        np.testing.assert_array_equal(k, build_rw(order=2, n_g=12).precision)
+        np.testing.assert_array_equal(k.toarray(), build_rw(order=2, n_g=12).precision.toarray())
         assert (out / "manifest.json").exists()
 
     def test_adjacency_recipe(self, tmp_path):
@@ -54,7 +54,7 @@ class TestStructureCommand:
         out = tmp_path / "out"
         assert run("structure", "--config", cfg, "--out", out) == 0
         k = read_matrix_market(out / "structure.mtx")
-        np.testing.assert_array_equal(k, build_rw(order=1, n_g=3).precision)
+        np.testing.assert_array_equal(k.toarray(), build_rw(order=1, n_g=3).precision.toarray())
         assert json.loads((out / "structure.json").read_text())["rank_deficiency"] == 1
 
     @pytest.mark.parametrize(
@@ -75,6 +75,25 @@ class TestStructureCommand:
         assert run("structure", "--config", cfg, "--out", tmp_path / "out") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_repeated_edges_are_one_edge(self, tmp_path):
+        # a sparse build that summed the repeats would give W entries of 2,
+        # which build_icar refuses
+        blobs = []
+        for tag, text in (("once", "0 1\n1 2\n"), ("repeated", "0 1\n1 0\n1 2\n0 1\n2 1\n")):
+            (tmp_path / f"{tag}.edges").write_text(text)
+            cfg = write_config(tmp_path / f"{tag}.json", {"recipe": f"icar {tag}.edges"})
+            assert run("structure", "--config", cfg, "--out", tmp_path / tag) == 0
+            blobs.append((tmp_path / tag / "structure.mtx").read_bytes())
+        assert blobs[0] == blobs[1]
+        k = read_matrix_market(tmp_path / "repeated" / "structure.mtx")
+        np.testing.assert_array_equal(k.toarray(), build_rw(order=1, n_g=3).precision.toarray())
+
+    def test_structure_file_is_coordinate_layout(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {"recipe": "rw1 3"})
+        assert run("structure", "--config", cfg, "--out", tmp_path / "out") == 0
+        head = (tmp_path / "out" / "structure.mtx").read_text().splitlines()[0]
+        assert head == "%%MatrixMarket matrix coordinate real general"
+
     def test_file_recipe_round_trips_bitwise(self, tmp_path):
         cfg1 = write_config(tmp_path / "a.json", {"recipe": "crw2 17"})
         out1 = tmp_path / "out1"
@@ -85,10 +104,11 @@ class TestStructureCommand:
         )
         out2 = tmp_path / "out2"
         assert run("structure", "--config", cfg2, "--out", out2) == 0
-        a = read_matrix_market(out1 / "structure.mtx")
-        b = read_matrix_market(out2 / "structure.mtx")
+        a = read_matrix_market(out1 / "structure.mtx").toarray()
+        b = read_matrix_market(out2 / "structure.mtx").toarray()
         np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, build_rw(order=2, n_g=17, circular=True).precision)
+        want = build_rw(order=2, n_g=17, circular=True).precision.toarray()
+        np.testing.assert_array_equal(a, want)
 
     def test_bad_recipe_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"recipe": "rw7 10"})
@@ -120,11 +140,10 @@ class TestStructureCommand:
         assert blobs[0] == blobs[1]
         k = read_matrix_market(tmp_path / "a" / "structure.mtx")
         want = build_rw(order=2, n_g=1000, circular=True).precision
-        assert k.tobytes() == want.tobytes()
+        assert k.toarray().tobytes() == want.toarray().tobytes()
 
     def test_iid_recipe_holds_one_matrix(self):
-        # I of n = 3000 is 72 MB; StructureSpec keeps the recipe's read-only
-        # array, and only its n x n boolean check masks come on top
+        # a dense I of n = 3000 would be 72 MB; the recipe holds a sparse one
         tracemalloc.start()
         try:
             cli._load_structure({"recipe": "iid 3000"}, ctx=None)
@@ -179,7 +198,7 @@ class TestWeightsCommand:
     def test_coordinate_matrix_files_read_as_arrays(self, tmp_path, symmetry):
         # scipy's mmwrite writes a sparse K or Z in coordinate layout, a
         # dense one as an array; both must give the same component
-        k = build_rw(order=1, n_g=6).precision
+        k = build_rw(order=1, n_g=6).precision.toarray()
         z = np.eye(6)[[0, 1, 2, 3, 4, 5, 0, 2, 4]]
         outputs = []
         for layout, to_write in (("array", np.asarray), ("coordinate", scipy.sparse.coo_array)):
@@ -453,6 +472,31 @@ class TestPipelineCommand:
         doc = json.loads((out / "bundle.json").read_text())
         assert doc["params"]["b"] == pytest.approx(26.5, rel=0.03)
 
+    def test_lattice_icar_holds_no_dense_matrix(self, tmp_path):
+        # a 60 x 60 lattice: one dense 3600 x 3600 K, adjacency or Z = I
+        # would be 104 MB; K and Z are sparse and the weights come from
+        # the banded route
+        v = np.arange(3600).reshape(60, 60)
+        edges = [(a, b) for a, b in zip(v[:, :-1].ravel(), v[:, 1:].ravel())]
+        edges += [(a, b) for a, b in zip(v[:-1].ravel(), v[1:].ravel())]
+        (tmp_path / "lattice.edges").write_text("".join(f"{a} {b}\n" for a, b in edges))
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {
+                "design": {"kind": "identity"},
+                "structure": {"recipe": "icar lattice.edges"},
+                "elicitation": {"c": 1.0},
+            },
+        )
+        tracemalloc.start()
+        try:
+            code = run("pipeline", "--config", cfg, "--out", tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 20e6
+
 
 class TestOutputLayout:
     """Each JSON output keeps a flat layout: the library records' fields
@@ -654,6 +698,38 @@ class TestIntegerKeys:
             docs.append((tmp_path / tag / "elicit.json").read_bytes())
         assert docs[0] == docs[1]
         assert json.loads(docs[0])["n"] == 30
+
+
+class TestRealKeys:
+    """Float config keys take JSON numbers; a string or a boolean exits 1
+    rather than being read as a number."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("elicit", {"n": 50, "c": "2.0"}),
+            ("elicit", {"n": 50, "c": 2.0, "p": True}),
+            ("elicit", {"n": 50, "c": 2.0, "pi0": "0.5"}),
+            ("elicit", {"n": 50, "likelihood": {"kind": "binomial_logit", "value": "0.27"}}),
+            ("sample", {"params": {**GENERIC_PARAMS, "beta": "24.5"}, "count": 10}),
+            ("sample", {"params": {**GENERIC_PARAMS, "b": True}, "count": 10}),
+            ("prior", {"params": {**GENERIC_PARAMS, "q": "1.5"}}),
+        ],
+        ids=["c-string", "p-bool", "pi0-string", "mean-string", "beta-string", "b-bool", "q-string"],
+    )
+    def test_non_number_is_rejected(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 1
+        assert "must be a real number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integer_value_is_the_float(self, tmp_path):
+        docs = []
+        for tag, c in (("int", 2), ("float", 2.0)):
+            cfg = write_config(tmp_path / f"{tag}.json", {"n": 50, "c": c, "pi0": 0.5})
+            assert run("elicit", "--config", cfg, "--out", tmp_path / tag) == 0
+            docs.append((tmp_path / tag / "elicit.json").read_bytes())
+        assert docs[0] == docs[1]
 
 
 class TestReadmeFlagTable:

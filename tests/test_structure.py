@@ -116,7 +116,7 @@ def _effect_map_weights(design, spec):
 
 def _sample_effects(spec, count, seed):
     """Draw constrained effects nu = U+ gamma+, gamma+ ~ N(0, Lambda+^-1)."""
-    eigs, vecs = np.linalg.eigh(spec.precision)
+    eigs, vecs = np.linalg.eigh(spec.precision.toarray())
     kappa = spec.rank_deficiency
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((spec.n_g - kappa, count))
@@ -127,7 +127,7 @@ class TestBuildRw:
     def test_first_order_small(self):
         spec = build_rw(1, 3)
         np.testing.assert_array_equal(
-            spec.precision, np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+            spec.precision.toarray(), np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
         )
         assert spec.rank_deficiency == 1
 
@@ -142,7 +142,7 @@ class TestBuildRw:
         spec = build_rw(2, 366, circular=True)
         assert spec.rank_deficiency == 1
         # dense eigensolver oracle: exactly one eigenvalue below 1e-10
-        eigs = np.linalg.eigvalsh(spec.precision)
+        eigs = np.linalg.eigvalsh(spec.precision.toarray())
         assert int(np.sum(eigs < 1e-10)) == 1
 
     def test_circular_first_order(self):
@@ -163,12 +163,13 @@ class TestBuildRw:
                 d = np.roll(eye, -1, axis=1) - eye
             else:
                 d = np.roll(eye, -1, axis=1) + np.roll(eye, 1, axis=1) - 2.0 * eye
-            assert build_rw(order, n_g, circular).precision.tobytes() == (d.T @ d).tobytes()
+            assert build_rw(order, n_g, circular).precision.toarray().tobytes() == (d.T @ d).tobytes()
 
     def test_walks_carry_their_spectrum(self):
         for order, circular in ((1, False), (1, True), (2, True)):
             spec = build_rw(order, 40, circular)
-            np.testing.assert_allclose(spec.spectrum, np.linalg.eigvalsh(spec.precision), atol=1e-12)
+            eigs = np.linalg.eigvalsh(spec.precision.toarray())
+            np.testing.assert_allclose(spec.spectrum, eigs, atol=1e-12)
             assert spec.spectrum[0] == 0.0
         assert build_rw(2, 40).spectrum is None
 
@@ -183,7 +184,7 @@ class TestBuildIcar:
     def test_path_graph_matches_first_order_walk(self):
         adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
         spec = build_icar(adj)
-        np.testing.assert_array_equal(spec.precision, build_rw(1, 3).precision)
+        np.testing.assert_array_equal(spec.precision.toarray(), build_rw(1, 3).precision.toarray())
         assert spec.rank_deficiency == 1
 
     def test_disconnected_components(self):
@@ -219,7 +220,7 @@ class TestBuildBsplineBasis:
 
     def test_single_point_hat_peak(self):
         dm = build_bspline_basis(np.array([0.5]), m=3, degree=1, bounds=(0.0, 1.0))
-        np.testing.assert_allclose(dm.values, np.array([[0.0, 1.0, 0.0]]), atol=1e-15)
+        np.testing.assert_allclose(dm.values.toarray(), np.array([[0.0, 1.0, 0.0]]), atol=1e-15)
 
     def test_matches_recursive_oracle(self):
         x = np.linspace(-1.0, 1.0, 50)
@@ -227,7 +228,7 @@ class TestBuildBsplineBasis:
         # m - degree = 2 unit segments over [-1, 1], extended 3 steps past each end
         knots = np.arange(-4.0, 5.0)
         oracle = _bspline_oracle(x, knots, 3)
-        np.testing.assert_allclose(dm.values, oracle, atol=1e-12)
+        np.testing.assert_allclose(dm.values.toarray(), oracle, atol=1e-12)
 
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
@@ -240,8 +241,8 @@ class TestBuildBsplineBasis:
 
 class TestStructureSpec:
     def test_checks_hold_no_mask(self):
-        # K of n_g = 3000 is 72 MB; the finiteness and symmetry checks add
-        # no n_g x n_g mask (each is 9 MB)
+        # a dense K of n_g = 3000 would be 72 MB; K is sparse, and the
+        # finiteness and symmetry checks add no n_g x n_g mask (each 9 MB)
         tracemalloc.start()
         try:
             build_rw(2, 3000)
@@ -260,8 +261,8 @@ class TestStructureSpec:
         k = np.eye(3)
         k[0, 1] = 1e-14
         spec = StructureSpec(precision=k, rank_deficiency=0)
-        np.testing.assert_array_equal(spec.precision, (k + k.T) / 2.0)
-        assert not spec.precision.flags.writeable
+        np.testing.assert_array_equal(spec.precision.toarray(), (k + k.T) / 2.0)
+        assert not any(b.flags.writeable for b in structure._buffers(spec.precision))
 
     def test_rejects_boolean_rank_deficiency(self):
         for flag in (True, False, np.bool_(True)):
@@ -322,9 +323,10 @@ class TestSpectralSplit:
         # E'KE = I on the range, and E E' = K+, whose pseudo-inverse is K
         spec = build_rw(2, 17)
         e = structure._effect_map(DesignMatrix.identity(17), spec)
-        np.testing.assert_allclose(e.T @ spec.precision @ e, np.eye(15), atol=1e-10)
+        k = spec.precision.toarray()
+        np.testing.assert_allclose(e.T @ k @ e, np.eye(15), atol=1e-10)
         rebuilt = np.linalg.pinv(e @ e.T, hermitian=True)
-        err = np.linalg.norm(rebuilt - spec.precision) / np.linalg.norm(spec.precision)
+        err = np.linalg.norm(rebuilt - k) / np.linalg.norm(k)
         assert err < 1e-9
 
 
@@ -334,8 +336,9 @@ class TestEffectMap:
         spec = build_rw(2, 25)
         e = structure._effect_map(DesignMatrix.identity(25), spec)
         assert e.shape == (25, 23)
-        np.testing.assert_allclose(e.T @ spec.precision @ e, np.eye(23), atol=1e-9)
-        u0 = np.linalg.eigh(spec.precision)[1][:, :2]
+        k = spec.precision.toarray()
+        np.testing.assert_allclose(e.T @ k @ e, np.eye(23), atol=1e-9)
+        u0 = np.linalg.eigh(k)[1][:, :2]
         assert np.max(np.abs(u0.T @ e)) < 1e-9
 
     def test_rejects_wrong_column_count(self):
@@ -370,8 +373,8 @@ class TestQfWeights:
         # independent route: eigenvalues of the nonsymmetric product
         # (Z^T M Z) K^-  keeping the nonnull ones
         m = np.eye(50) - 1.0 / 50
-        g = z.values.T @ m @ z.values
-        oracle = np.linalg.eigvals(g @ np.linalg.pinv(spec.precision))
+        g = z.values.toarray().T @ m @ z.values.toarray()
+        oracle = np.linalg.eigvals(g @ np.linalg.pinv(spec.precision.toarray()))
         oracle = np.sort(oracle.real)[-3:]
         np.testing.assert_allclose(np.sort(w.weights), oracle, rtol=1e-9)
 
@@ -389,8 +392,8 @@ class TestQfWeights:
         assert w.weights.size == 35
         assert w.zero_count == 5
         m = np.eye(48) - 1.0 / 48
-        g = z.values.T @ m @ z.values
-        oracle = np.linalg.eigvals(g @ np.linalg.pinv(spec.precision))
+        g = z.values.toarray().T @ m @ z.values.toarray()
+        oracle = np.linalg.eigvals(g @ np.linalg.pinv(spec.precision.toarray()))
         oracle = np.sort(oracle.real)[-35:]
         np.testing.assert_allclose(w.weights, oracle, rtol=1e-9)
 
@@ -416,8 +419,9 @@ class TestQfWeights:
         spec = build_rw(2, 6)
         base = qf_weights(z, spec, constrained=True)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        z2 = DesignMatrix(values=z.values @ q, kind="basis")
-        spec2 = StructureSpec((q.T @ spec.precision @ q + (q.T @ spec.precision @ q).T) / 2, 2)
+        z2 = DesignMatrix(values=z.values.toarray() @ q, kind="basis")
+        k = spec.precision.toarray()
+        spec2 = StructureSpec((q.T @ k @ q + (q.T @ k @ q).T) / 2, 2)
         rotated = qf_weights(z2, spec2, constrained=True)
         np.testing.assert_allclose(np.sort(rotated.weights), np.sort(base.weights), rtol=1e-9)
 
@@ -435,7 +439,7 @@ class TestQfWeights:
         # identity design: sampled constrained effects are orthogonal to U0
         spec = build_rw(2, 25)
         nu = _sample_effects(spec, count=64, seed=5)
-        u0 = np.linalg.eigh(spec.precision)[1][:, :2]
+        u0 = np.linalg.eigh(spec.precision.toarray())[1][:, :2]
         assert np.max(np.abs(u0.T @ nu)) < 1e-9
 
     def test_sampled_moments_match_weight_sums(self):
@@ -485,7 +489,7 @@ class TestSpectrumRoute:
         # so the cut-off is lifted here to check the banded route itself
         spec = build_rw(order, 30, circular)
         z = _full_selection(30, 36, seed=23)
-        oracle = oracles.centered_effect_weights(z.values, spec.precision)
+        oracle = oracles.centered_effect_weights(z.values.toarray(), spec.precision.toarray())
         monkeypatch.setattr(structure, "_BAND_FRACTION", 1.0)
         _refuse_dense_eigvalsh(monkeypatch)
         w = qf_weights(z, spec, constrained=True)
@@ -529,7 +533,7 @@ class TestSpectrumRoute:
         # a random graph with many chords has no narrow band after any
         # permutation, so it costs what it did: one dense eigvalsh
         spec = build_icar(_random_graph(80, extra=600, seed=6))
-        eigs = np.linalg.eigvalsh(spec.precision)
+        eigs = np.linalg.eigvalsh(spec.precision.toarray())
         w = qf_weights(DesignMatrix.identity(80), spec, constrained=True)
         np.testing.assert_array_equal(w.weights, np.sort(1.0 / eigs[1:]))
 
@@ -636,7 +640,7 @@ class TestDesignMatrix:
     def test_identity_constructor(self):
         dm = DesignMatrix.identity(5)
         assert dm.kind == "identity"
-        np.testing.assert_array_equal(dm.values, np.eye(5))
+        np.testing.assert_array_equal(dm.values.toarray(), np.eye(5))
 
     def test_identity_kind_requires_identity_values(self):
         near_one = np.eye(3)
@@ -673,11 +677,12 @@ class TestDesignMatrix:
         raw = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         dm = DesignMatrix(values=raw, kind="selection")
         raw[0] = (0.0, 1.0)
-        np.testing.assert_array_equal(dm.values[0], (1.0, 0.0))
-        assert not dm.values.flags.writeable
+        np.testing.assert_array_equal(dm.values.toarray()[0], (1.0, 0.0))
+        assert not any(b.flags.writeable for b in structure._buffers(dm.values))
 
     def test_identity_holds_one_copy(self):
-        # Z = I of n = 3000 is 72 MB; its checks make no second n x n array
+        # a dense Z = I of n = 3000 would be 72 MB; Z is sparse, and its
+        # checks make no n x n array
         tracemalloc.start()
         try:
             DesignMatrix.identity(3000)
@@ -688,7 +693,8 @@ class TestDesignMatrix:
 
     def test_builders_hand_over_without_a_copy(self):
         spec = build_rw(2, 30)
-        assert spec.precision.flags.owndata and not spec.precision.flags.writeable
+        buffers = structure._buffers(spec.precision)
+        assert all(b.flags.owndata and not b.flags.writeable for b in buffers)
         assert StructureSpec(spec.precision, 2).precision is spec.precision
         dm = build_bspline_basis(np.linspace(0.0, 1.0, 20), m=6)
         assert DesignMatrix(values=dm.values, kind="basis").values is dm.values

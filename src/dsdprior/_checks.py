@@ -3,7 +3,9 @@
 An integer is an int or a numpy integer, never a bool or a float, so no
 value is truncated; only the command line turns JSON's 30.0 into 30. A
 real number is an int, a float or a numpy real, never a bool or a
-string. Arrays are checked by their min and max, with no mask of their
+string; an array of them is a numpy array of integer or floating dtype,
+checked by its dtype alone, or nested lists whose leaves are real
+numbers. Arrays are checked by their min and max, with no mask of their
 size.
 """
 
@@ -20,6 +22,7 @@ __all__ = [
     "positive_array",
     "positive_fields",
     "probabilities",
+    "real_array",
 ]
 
 
@@ -31,6 +34,21 @@ def _real(name, value) -> float:
     if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def real_array(name, x) -> np.ndarray:
+    """x, a real number or an array of them, as a float64 numpy array."""
+    pending = [x]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, (list, tuple)):
+            pending.extend(reversed(item))
+        elif hasattr(item, "dtype"):
+            if item.dtype.kind not in "iuf":
+                raise ValueError(f"{name} must be a real number, got dtype {item.dtype}")
+        else:
+            _real(name, item)
+    return np.asarray(x, dtype=float)
 
 
 def integer(name, value, minimum=None) -> int:
@@ -68,7 +86,7 @@ def positive_fields(record, *names):
 
 
 def positive_array(name, x) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(real_array(name, x))
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
     positive(name, arr.min())
@@ -77,7 +95,7 @@ def positive_array(name, x) -> np.ndarray:
 
 
 def probabilities(name, u) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(_real(name, u) if np.isscalar(u) else u, dtype=float))
+    arr = np.atleast_1d(real_array(name, u))
     if not (arr.size and 0.0 < arr.min() and arr.max() < 1.0):
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return arr

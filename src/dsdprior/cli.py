@@ -205,17 +205,16 @@ def _load_design(cfg, ctx: _RunContext, n_g: int) -> DesignMatrix:
     if kind == "identity":
         return DesignMatrix.identity(n_g)
     if "values" in cfg:
-        return DesignMatrix(values=np.array(cfg["values"], dtype=float), kind=kind)
+        return DesignMatrix(values=cfg["values"], kind=kind)
     if "path" in cfg:
         path = ctx.track_input(ctx.resolve(cfg["path"]))
         return DesignMatrix(values=read_matrix_market(path), kind=kind)
     if kind == "basis" and "x" in cfg:
-        bounds = cfg.get("bounds")
         return build_bspline_basis(
-            np.array(cfg["x"], dtype=float),
+            cfg["x"],
             m=_integer(cfg, "m", where="design config"),
             degree=_integer(cfg, "degree", 3, "design config"),
-            bounds=tuple(bounds) if bounds is not None else None,
+            bounds=cfg.get("bounds"),
         )
     raise ValueError("design config needs 'values', 'path', or a basis recipe with 'x' and 'm'")
 
@@ -278,7 +277,7 @@ def _cmd_approx(cfg, ctx: _RunContext):
         raise ValueError("config key 'weights' must be the path of a weights.json file")
     doc = load_json(ctx.track_input(ctx.resolve(source)))
     weights = QfWeights(
-        weights=np.array(_require(doc, "weights", "weights document"), dtype=float),
+        weights=_require(doc, "weights", "weights document"),
         n_predictor=_integer(doc, "n_predictor", where="weights document"),
         zero_count=_integer(doc, "zero_count", where="weights document"),
     )

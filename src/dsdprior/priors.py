@@ -82,7 +82,8 @@ def _unwrap(values, template):
 
 
 def _density(log_density, x, theta):
-    out = log_density(np.atleast_1d(np.asarray(x, dtype=float)), theta)
+    # log_density checks x under the array rule and unwraps a scalar
+    out = np.atleast_1d(log_density(x, theta))
     with np.errstate(under="ignore"):
         out = np.exp(out)
     return _unwrap(out, x)

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from ._checks import finite, positive, positive_array
+from ._checks import finite, positive, positive_array, real_array
 from ._quad import ConvergenceError, log_tanh_sinh_01
 
 __all__ = [
@@ -54,7 +54,7 @@ def log_gauss_2f1_negz(a, b, c, z):
     a, b, c = positive("a", a), positive("b", b), float(c)
     if not b < c < math.inf:
         raise ValueError(f"log_gauss_2f1_negz requires a finite c > b; got b={b!r}, c={c!r}")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = np.atleast_1d(real_array("z", z))
     finite("z", z)
     if z.max() > 0.0:
         raise ValueError(f"log_gauss_2f1_negz is restricted to z <= 0, got max {z.max()!r}")

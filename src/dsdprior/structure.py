@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import eigvals_banded
-from scipy.sparse import csr_array, diags_array, eye_array
+from scipy.sparse import csr_array, diags_array, eye_array, issparse
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
-from ._checks import finite, integer, positive_array
+from ._checks import finite, integer, positive_array, real_array
 
 __all__ = [
     "DesignMatrix",
@@ -54,21 +54,27 @@ def _buffers(a: csr_array) -> tuple:
     return a.data, a.indices, a.indptr
 
 
-def _frozen(a) -> csr_array:
+def _frozen(name, a) -> csr_array:
     """a as a canonical float64 CSR array (sorted indices, no duplicates
     or stored zeros) whose buffers are read-only and own their memory.
     Such an array is kept, so records pass K and Z on without a copy;
-    anything else, dense or sparse, is copied once."""
+    anything else, dense or sparse, is copied once. Dense input must hold
+    real numbers (see _checks)."""
     if isinstance(a, csr_array) and a.dtype == np.float64 and a.has_canonical_format:
         if not any(b.flags.writeable or not b.flags.owndata for b in _buffers(a)):
             return a
-    out = csr_array(a, dtype=float, copy=True)
+    out = csr_array(a if issparse(a) else real_array(name, a), dtype=float, copy=True)
     out.sum_duplicates()
     out.eliminate_zeros()
     out.data, out.indices, out.indptr = (np.require(b, requirements="O") for b in _buffers(out))
     for b in _buffers(out):
         b.setflags(write=False)
     return out
+
+
+def _one_hot(z: csr_array) -> bool:
+    # every row of the canonical CSR z stores exactly one entry, equal to 1
+    return bool(np.all(np.diff(z.indptr) == 1) and np.all(z.data == 1.0))
 
 
 def _is_symmetric(a: csr_array) -> bool:
@@ -90,7 +96,7 @@ class StructureSpec:
     spectrum: np.ndarray | None = None
 
     def __post_init__(self):
-        k = _frozen(self.precision)
+        k = _frozen("precision", self.precision)
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 1:
             raise ValueError("precision must be a square matrix")
         finite("precision", k.data)
@@ -98,13 +104,13 @@ class StructureSpec:
             scale = max(1.0, float(np.max(np.abs(k.data))))
             if abs(k - k.T).max() > 1e-12 * scale:
                 raise ValueError("precision must be symmetric")
-            k = _frozen((k + k.T) / 2.0)
+            k = _frozen("precision", (k + k.T) / 2.0)
         self.precision = k
         self.rank_deficiency = integer("rank_deficiency", self.rank_deficiency)
         if not 0 <= self.rank_deficiency < self.n_g:
             raise ValueError("rank_deficiency must lie in [0, n_g)")
         if self.spectrum is not None:
-            lam = np.array(self.spectrum, dtype=float)
+            lam = real_array("spectrum", self.spectrum).copy()
             lam.setflags(write=False)
             ok = (
                 lam.shape == (self.n_g,)
@@ -125,28 +131,25 @@ class StructureSpec:
 
 @dataclass
 class DesignMatrix:
-    """Predictor-to-coefficient map Z (n x m) plus a kind tag that
-    records how it was built."""
+    """Predictor-to-coefficient map Z (n x m) plus a kind label, checked
+    against Z, that names the design in outputs and changes no number."""
 
     values: csr_array
     kind: str
 
     def __post_init__(self):
-        z = _frozen(self.values)
+        z = _frozen("design matrix", self.values)
         if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
             raise ValueError("design matrix must be 2-d and non-empty")
         finite("design matrix", z.data)
         if self.kind not in _DESIGN_KINDS:
             raise ValueError(f"unknown design kind {self.kind!r}; expected one of {_DESIGN_KINDS}")
         if self.kind == "identity":
-            # n stored entries, all on a unit diagonal, is Z = I
             n = z.shape[0]
-            if z.shape[1] != n or z.nnz != n or not np.all(z.diagonal() == 1.0):
+            if z.shape[1] != n or not _one_hot(z) or np.any(z.indices != np.arange(n)):
                 raise ValueError("identity kind requires Z = I")
-        if self.kind == "selection":
-            one_hot = np.all(np.diff(z.indptr) == 1) and np.all(z.data == 1.0)
-            if not one_hot:
-                raise ValueError("selection kind requires exactly one unit entry per row")
+        if self.kind == "selection" and not _one_hot(z):
+            raise ValueError("selection kind requires exactly one unit entry per row")
         if self.kind == "covariate-column" and z.shape[1] != 1:
             raise ValueError("covariate-column kind requires a single column")
         self.values = z
@@ -227,7 +230,7 @@ def build_icar(adjacency) -> StructureSpec:
     by its adjacency W, dense or sparse: K = diag(degree) - W. Rank
     deficiency equals the number of connected components (isolated
     vertices each count as a component)."""
-    w = _frozen(adjacency)
+    w = _frozen("adjacency", adjacency)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 2:
         raise ValueError("adjacency must be square with at least two vertices")
     if not _is_symmetric(w):
@@ -246,13 +249,16 @@ def build_bspline_basis(x, m: int, degree: int = 3, bounds=None) -> DesignMatrix
     data range) is divided into m - degree equal segments and the knot
     vector is extended degree steps past each end, so the basis spans
     exactly m functions and sums to one on the interval."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(real_array("x", x))
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a non-empty vector")
     finite("x", x)
     degree = integer("degree", degree, 1)
     m = integer("m", m, degree + 2)
-    lo, hi = bounds if bounds is not None else (float(x.min()), float(x.max()))
+    bounds = (x.min(), x.max()) if bounds is None else real_array("bounds", bounds)
+    if np.shape(bounds) != (2,):
+        raise ValueError("bounds must be two real numbers")
+    lo, hi = bounds
     if not hi > lo:
         raise ValueError("basis range is degenerate; pass explicit bounds")
     if np.any(x < lo) or np.any(x > hi):
@@ -329,30 +335,28 @@ def _weight_reciprocals(design: DesignMatrix, spec: StructureSpec) -> np.ndarray
     """The range eigenvalues whose reciprocals are the weights, from K's
     spectrum alone, or None where the weights need the effect map.
 
-    Both cases need 1 to be an eigenvector of K: K's rows all sum exactly
-    to one value r. Identity design: M K^- keeps K^-'s eigenpairs but
-    that of 1, so the weights are 1 / (range eigenvalues of K) less the
-    one nearest r (none where r = 0: 1 is then null), from the closed-form
-    spectrum a walk carries or else the banded route of _symmetric_eigvals.
-    Selection design observing every region, with null(K) = span(1)
-    (r = 0, rank deficiency 1): Z'MZ = D^{1/2} (I - ss'/n) D^{1/2} with
-    D = diag(counts), s = sqrt(counts), and that projected D^{1/2} K+ D^{1/2}
+    Both routes need a one-hot Z, whatever its kind label, and 1 as an
+    eigenvector of K: K's rows all sum exactly to one value r. Every column
+    hit once (Z = I or a permutation, so Z'MZ = M): M K^- keeps K^-'s
+    eigenpairs but that of 1, so the weights are 1 / (range eigenvalues of
+    K) less the one nearest r (none where r = 0: 1 is then null), from the
+    closed-form spectrum a walk carries or else the banded route of
+    _symmetric_eigvals. Every column hit, with null(K) = span(1) (r = 0,
+    rank deficiency 1): Z'MZ = D^{1/2} (I - ss'/n) D^{1/2} with D =
+    diag(counts), s = sqrt(counts), and that projected D^{1/2} K+ D^{1/2}
     is the pseudo-inverse of D^{-1/2} K D^{-1/2}, so the weights are
     1 / (its range eigenvalues), again from the banded route."""
-    k = spec.precision
+    k, z = spec.precision, design.values
     row_sums = k.sum(axis=1)
     r = float(row_sums[0])
-    if np.any(row_sums != r):
+    if np.any(row_sums != r) or not _one_hot(z):
         return None
-    exact = False
-    if design.kind == "identity":
+    counts = np.bincount(z.indices, minlength=spec.n_g)
+    if np.all(counts == 1):
         exact = spec.spectrum is not None
         eigs = spec.spectrum if exact else _symmetric_eigvals(k)
-    elif design.kind == "selection" and spec.rank_deficiency == 1 and r == 0.0:
-        counts = design.values.sum(axis=0)
-        if not np.all(counts > 0.0):
-            return None
-        eigs = _symmetric_eigvals(k, counts**-0.5)
+    elif np.all(counts > 0) and spec.rank_deficiency == 1 and r == 0.0:
+        exact, eigs = False, _symmetric_eigvals(k, counts**-0.5)
     else:
         return None
     keep = ~_null_eigs(eigs, spec.rank_deficiency, exact)
@@ -367,9 +371,9 @@ def qf_weights(design: DesignMatrix, spec: StructureSpec, constrained: bool) -> 
 
     The conditional law of (n-1) V given sigma2 is sigma2 times a sum of
     weights[k] * chi-squared(1). The weights are the nonzero eigenvalues
-    of (Z'MZ) K^-. Identity designs on a K with equal row sums, and
-    selection designs observing every region of a K with null space
-    span(1), take them from K's spectrum (see _weight_reciprocals).
+    of (Z'MZ) K^-. On a K with equal row sums, a one-hot Z hitting every
+    column once (Z = I or a permutation), or every column of a K with null
+    space span(1), takes them from K's spectrum (see _weight_reciprocals).
     Every other design takes them from the Gram matrix (ME)'(ME) of the
     column-centered effect map. Either way a symmetric eigensolve gives
     them in deterministic ascending order.

@@ -3,21 +3,25 @@ an int or a numpy integer and refuses floats (integral ones too), bools
 and strings, with a message that names the input.  The samplers' draw
 count keeps its cases with each sampler's tests.  A second table holds
 the real-number rule: every float input takes an int, a float or a numpy
-real and refuses strings and bools.  Each record that holds the marginal
-benchmark's existence rule, p < 1 + alpha, gives one message."""
+real and refuses strings and bools; a third, the array twin of that
+rule, refuses a string or bool leaf and a string or bool dtype.  Each
+record that holds the marginal benchmark's existence rule, p < 1 + alpha,
+gives one message."""
 
 import numpy as np
 import pytest
 from scipy.sparse import issparse
 
 from dsdprior.elicit import ElicitationSpec, pseudo_variance
-from dsdprior.priors import DsdParams, TwoF0Params
+from dsdprior.priors import B2Params, DsdParams, TwoF0Params, b2_quantile, dsd_pdf
 from dsdprior.qf import sample_v
+from dsdprior.specfun import log_gauss_2f1_negz
 from dsdprior.structure import (
     DesignMatrix,
     QfWeights,
     StructureSpec,
     build_bspline_basis,
+    build_icar,
     build_rw,
 )
 
@@ -115,3 +119,59 @@ def test_benchmark_rule_gives_one_message(record):
     message = r"^marginal benchmark requires p < 1 \+ alpha; got p=2.0, alpha=1.0$"
     with pytest.raises(ValueError, match=message):
         call(2.0)
+
+
+THETA = DsdParams(24.5, 24.5, 1.43, 0.061, 1.0, 0.5, 1.5)
+RW1 = build_rw(1, 4)
+
+# id -> (the input's name, a call that takes it, nested lists it accepts)
+ARRAYS = {
+    "precision": ("precision", lambda v: StructureSpec(v, 0), [[2.0, -1.0], [-1.0, 2.0]]),
+    "spectrum": ("spectrum", lambda v: StructureSpec(RW1.precision, 1, spectrum=v),
+                 RW1.spectrum.tolist()),
+    "design": ("design matrix", lambda v: DesignMatrix(v, "basis"), [[1.0, 0.5], [0.0, 1.0]]),
+    "adjacency": ("adjacency", build_icar, [[0, 1, 1], [1, 0, 0], [1, 0, 0]]),
+    "x": ("x", lambda v: build_bspline_basis(v, m=5), X.tolist()),
+    "bounds": ("bounds", lambda v: build_bspline_basis(X, m=5, bounds=v), [-1.0, 1.0]),
+    "weights": ("weights", lambda v: QfWeights(v, 10, zero_count=1), [1.0, 2.0]),
+    "u": ("u", lambda v: b2_quantile(v, B2Params(1.0, 0.5, 1.5)), [0.25, 0.5]),
+    "z": ("z", lambda v: log_gauss_2f1_negz(1.0, 0.5, 1.5, v), [-1.0, -2.0]),
+    "s": ("s", lambda v: dsd_pdf(v, THETA), [0.5, 1.0]),
+}
+
+
+def _first_leaf_as(good, leaf):
+    if not isinstance(good, list):
+        return leaf(good)
+    return [_first_leaf_as(good[0], leaf), *good[1:]]
+
+
+NOT_REAL_ARRAY = {
+    "string-leaf": lambda good: _first_leaf_as(good, str),
+    "bool-leaf": lambda good: _first_leaf_as(good, lambda v: True),
+    "numpy-bool-leaf": lambda good: _first_leaf_as(good, lambda v: np.True_),
+    "string-dtype": lambda good: np.array(good).astype(str),
+    "bool-dtype": lambda good: np.array(good).astype(bool),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_REAL_ARRAY)
+@pytest.mark.parametrize("key", ARRAYS)
+def test_real_array_rule_rejects(key, bad):
+    name, call, good = ARRAYS[key]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        call(NOT_REAL_ARRAY[bad](good))
+
+
+def _value(result):
+    # a record compares by its fields
+    return _fields(result) if hasattr(result, "__dataclass_fields__") else result
+
+
+@pytest.mark.parametrize("key", ARRAYS)
+def test_real_lists_are_the_float_array(key):
+    # np.array(good) has an integer dtype for the adjacency
+    _, call, good = ARRAYS[key]
+    want = _value(call(np.array(good, dtype=float)))
+    np.testing.assert_equal(_value(call(good)), want)
+    np.testing.assert_equal(_value(call(np.array(good))), want)

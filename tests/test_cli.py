@@ -282,6 +282,44 @@ class TestWeightsCommand:
         assert doc["weights"] == [pytest.approx(24.0 * np.var(x, ddof=1), rel=1e-12)]
 
 
+class TestThreadInvariance:
+    def test_spectrum_routes_write_the_same_bytes(self, tmp_path):
+        # the closed-form (crw2 identity) and banded (lattice ICAR identity,
+        # one-hot rw1 selection labelled basis) routes at 1 and 2 BLAS
+        # threads; effect-map designs hold their bytes only at a fixed count
+        v = np.arange(200).reshape(5, 40)
+        edges = [*zip(v[:, :-1].ravel(), v[:, 1:].ravel()), *zip(v[:-1].ravel(), v[1:].ravel())]
+        (tmp_path / "lattice.edges").write_text("".join(f"{a} {b}\n" for a, b in edges))
+        rng = np.random.default_rng(9)
+        regions = rng.permutation(np.concatenate([np.arange(40), rng.integers(0, 40, 8)]))
+        selection = np.eye(40)[regions].tolist()
+        designs = {
+            "crw2": ({"recipe": "crw2 366"}, {"kind": "identity"}),
+            "icar": ({"recipe": "icar lattice.edges"}, {"kind": "identity"}),
+            "rw1": ({"recipe": "rw1 40"}, {"kind": "basis", "values": selection}),
+        }
+        for name, (structure, design) in designs.items():
+            write_config(tmp_path / f"{name}.json", {"structure": structure, "design": design})
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys; from dsdprior.cli import main; "
+            "sys.exit(max(main(['weights', '--config', c, '--out', c[:-5] + sys.argv[1]])"
+            " for c in sys.argv[2:]))"
+        )
+        configs = [str(tmp_path / f"{name}.json") for name in designs]
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": str(src),
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+            }
+            subprocess.run([sys.executable, "-c", code, threads, *configs], env=env, check=True)
+        for name in designs:
+            one, two = ((tmp_path / f"{name}{t}" / "weights.json").read_bytes() for t in "12")
+            assert one == two, name
+
+
 class TestApproxCommand:
     def test_matches_library(self, tmp_path):
         out1 = tmp_path / "out1"
@@ -302,6 +340,16 @@ class TestApproxCommand:
         )
         assert doc["alpha_tilde"] == want.alpha_tilde
         assert doc["beta_tilde"] == want.beta_tilde
+
+    @pytest.mark.parametrize("weights", [["1.0", 2.0], [True, 2.0]], ids=["string", "bool"])
+    def test_document_weights_must_be_real(self, tmp_path, capsys, weights):
+        doc = write_config(
+            tmp_path / "weights.json", {"weights": weights, "n_predictor": 10, "zero_count": 1}
+        )
+        cfg = write_config(tmp_path / "a.json", {"weights": str(doc)})
+        assert run("approx", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert "weights must be a real number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_inline_weights_are_rejected(self, tmp_path, capsys):
         doc = {"weights": [1.0, 2.0], "n_predictor": 10, "zero_count": 1}
@@ -700,9 +748,22 @@ class TestIntegerKeys:
         assert json.loads(docs[0])["n"] == 30
 
 
+IID1 = {"recipe": "iid 1"}
+RW2_5 = {"recipe": "rw2 5"}
+
+
+def _covariate(values):
+    return {"kind": "covariate-column", "values": values}
+
+
+def _basis(x=(0.0, 0.5, 1.0), bounds=(0.0, 1.0)):
+    return {"kind": "basis", "x": list(x), "m": 5, "bounds": list(bounds)}
+
+
 class TestRealKeys:
-    """Float config keys take JSON numbers; a string or a boolean exits 1
-    rather than being read as a number."""
+    """Float config keys and arrays take JSON numbers; a string or a
+    boolean, alone or as an array entry, exits 1 rather than being read
+    as a number."""
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -714,8 +775,16 @@ class TestRealKeys:
             ("sample", {"params": {**GENERIC_PARAMS, "beta": "24.5"}, "count": 10}),
             ("sample", {"params": {**GENERIC_PARAMS, "b": True}, "count": 10}),
             ("prior", {"params": {**GENERIC_PARAMS, "q": "1.5"}}),
+            ("weights", {"design": _covariate([["0.3"], [1.2], [2.0]]), "structure": IID1}),
+            ("weights", {"design": _covariate([[0.3], [True], [2.0]]), "structure": IID1}),
+            ("weights", {"design": _basis(x=["0.0", 0.5, 1.0]), "structure": RW2_5}),
+            ("weights", {"design": _basis(bounds=["-1", 1]), "structure": RW2_5}),
+            ("weights", {"design": _basis(bounds=[False, 1]), "structure": RW2_5}),
         ],
-        ids=["c-string", "p-bool", "pi0-string", "mean-string", "beta-string", "b-bool", "q-string"],
+        ids=[
+            "c-string", "p-bool", "pi0-string", "mean-string", "beta-string", "b-bool", "q-string",
+            "values-string", "values-bool", "x-string", "bounds-string", "bounds-bool",
+        ],
     )
     def test_non_number_is_rejected(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path / "cfg.json", payload)

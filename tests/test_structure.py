@@ -592,6 +592,35 @@ class TestSpectrumRoute:
         np.testing.assert_array_equal(w.weights, np.ones(1999))
         assert w.zero_count == 1
 
+    @pytest.mark.parametrize("case", ["rw1", "crw2", "icar", "iid"])
+    def test_labels_change_no_number(self, monkeypatch, case):
+        # the route reads Z's nonzero pattern: a one-hot Z gives the same
+        # bits under either label, and a permutation P, for which
+        # P'MP = M, gives those of the identity
+        if case == "rw1":
+            spec = build_rw(1, 40)
+        elif case == "crw2":
+            spec = build_rw(2, 40, circular=True)
+        elif case == "icar":
+            spec = build_icar(_lattice(4, 10))
+        else:
+            spec = StructureSpec(np.eye(40), 0)
+        constrained = spec.rank_deficiency > 0
+        perm = DesignMatrix(np.eye(40)[np.random.default_rng(3).permutation(40)], "basis")
+        np.testing.assert_allclose(
+            qf_weights(perm, spec, constrained).weights, _effect_map_weights(perm, spec), rtol=1e-10
+        )
+        _refuse_effect_map(monkeypatch)
+        identity = qf_weights(DesignMatrix.identity(40), spec, constrained).weights
+        np.testing.assert_array_equal(qf_weights(perm, spec, constrained).weights, identity)
+        if case != "iid":
+            selection = _full_selection(40, 48, seed=9)
+            basis = DesignMatrix(selection.values, "basis")
+            np.testing.assert_array_equal(
+                qf_weights(basis, spec, constrained).weights,
+                qf_weights(selection, spec, constrained).weights,
+            )
+
     @staticmethod
     def _fallback_case(case, tmp_path):
         if case == "unobserved-region":

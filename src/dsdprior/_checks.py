@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "benchmark_exponent",
-    "draw_count",
     "finite",
     "integer",
     "positive",
@@ -24,10 +23,6 @@ __all__ = [
     "probabilities",
     "real_array",
 ]
-
-
-def _is_integer(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _real(name, value) -> float:
@@ -52,7 +47,7 @@ def real_array(name, x) -> np.ndarray:
 
 
 def integer(name, value, minimum=None) -> int:
-    if not _is_integer(value):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
@@ -64,12 +59,6 @@ def benchmark_exponent(p, alpha):
     # prior, normalizes only for p < 1 + alpha
     if not p < 1.0 + alpha:
         raise ValueError(f"marginal benchmark requires p < 1 + alpha; got p={p!r}, alpha={alpha!r}")
-
-
-def draw_count(count) -> int:
-    if not _is_integer(count) or count < 1:
-        raise ValueError("count must be a positive integer")
-    return int(count)
 
 
 def positive(name, value) -> float:

@@ -2,14 +2,16 @@
 
 Each subcommand reads one JSON config file, writes fixed-name outputs
 into the --out directory, and finishes with a manifest.json recording
-library versions, the effective settings, and SHA-256 digests of every
-input and output file. Outputs never depend on the clock, the host, or
-absolute paths, so rerunning a command with the same config produces
-byte-identical files.
+library versions, numpy's and scipy's BLAS builds, the BLAS thread
+variables, the effective settings, and SHA-256 digests of every input
+(keyed by its spelling in the config) and output file. Outputs never
+depend on the clock or the output directory, so rerunning a command with
+the same config in the same environment produces byte-identical files.
 
 Every input has one source. Seeds, draw counts, grid sizes and all model
 inputs are config keys; the only flags are --config and --out. Integer
-keys and recipe sizes accept 30 or 30.0 but not 2.7 or true.
+keys and recipe sizes (read as JSON numbers) accept 30 or 30.0 but not
+2.7, 1_000 or true.
 
 Exit codes: 0 success, 1 bad usage or bad config, 2 numerical failure
 (the error message and any solver diagnostics go to stderr).
@@ -18,7 +20,9 @@ Exit codes: 0 success, 1 bad usage or bad config, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import os
 import platform
 import re
 import sys
@@ -90,35 +94,32 @@ class _RunContext:
     inputs: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
 
-    def resolve(self, path_str) -> Path:
-        path = Path(str(path_str))
-        return path if path.is_absolute() else self.cfg_dir / path
-
-    def track_input(self, path: Path) -> Path:
-        self.inputs[path.name] = sha256_file(path)
+    def input(self, spelling, name) -> Path:
+        """The file a config names: a JSON string, resolved against the
+        config's directory (an absolute spelling stays absolute) and
+        digested in the manifest under that spelling."""
+        if not isinstance(spelling, str):
+            raise ValueError(f"{name} must be a file path, got {spelling!r}")
+        path = self.cfg_dir / spelling
+        self.inputs[spelling] = sha256_file(path)
         return path
 
-    def _target(self, name: str) -> Path:
+    def output(self, name: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.outputs.append(name)
         return self.out_dir / name
 
-    def write_json(self, name, payload):
-        dump_json(payload, self._target(name))
 
-    def write_csv(self, name, header, columns):
-        write_csv(self._target(name), header, columns)
-
-    def write_matrix(self, name, matrix):
-        write_matrix_market(self._target(name), matrix)
-
-
-def _require(cfg, key, where="config"):
+def _require(cfg, key, where="config", default=None):
+    """cfg[key], or the default when one is given and the key is absent;
+    the one place a config is checked to be a JSON object."""
     if not isinstance(cfg, dict):
         raise ValueError(f"{where} must be a JSON object")
-    if key not in cfg:
+    if key in cfg:
+        return cfg[key]
+    if default is None:
         raise ValueError(f"{where} is missing required key {key!r}")
-    return cfg[key]
+    return default
 
 
 def _as_integer(name, value, minimum=None):
@@ -130,13 +131,8 @@ def _as_integer(name, value, minimum=None):
 
 
 def _integer(cfg, key, default=None, where="config", minimum=None):
-    """cfg[key], or the default when one is given and the key is absent,
-    as an integer of at least minimum."""
-    if default is not None and isinstance(cfg, dict) and key not in cfg:
-        value = default
-    else:
-        value = _require(cfg, key, where)
-    return _as_integer(f"{where} key {key!r}", value, minimum)
+    """_require's value as an integer of at least minimum."""
+    return _as_integer(f"{where} key {key!r}", _require(cfg, key, where, default), minimum)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +173,8 @@ def _load_structure(cfg, ctx: _RunContext) -> StructureSpec:
     walk = re.fullmatch(r"(c?)rw([12])", head)
     if walk or head == "iid":
         try:
-            # the size reads as a JSON number would, so "20.0" is 20
-            size = float(arg)
+            # the size reads as a JSON number, so "20.0" is 20 and "1_000" fails
+            size = json.loads(arg)
         except ValueError:
             size = arg
         try:
@@ -190,12 +186,11 @@ def _load_structure(cfg, ctx: _RunContext) -> StructureSpec:
             raise ValueError(f"structure recipe {recipe!r}: {exc}") from None
         return StructureSpec(eye_array(n_g, format="csr"), rank_deficiency=0, label=f"iid({n_g})")
     if head == "icar":
-        path = ctx.track_input(ctx.resolve(arg))
-        return build_icar(_read_edge_list(path))
+        return build_icar(_read_edge_list(ctx.input(arg, "structure recipe")))
     if head == "file":
         # a matrix file does not record its rank deficiency; the config must
         kappa = _integer(cfg, "rank_deficiency", where="structure config")
-        path = ctx.track_input(ctx.resolve(arg))
+        path = ctx.input(arg, "structure recipe")
         return StructureSpec(read_matrix_market(path), kappa, label=f"file({path.name})")
     raise ValueError(f"unknown structure recipe {head!r}")
 
@@ -207,7 +202,7 @@ def _load_design(cfg, ctx: _RunContext, n_g: int) -> DesignMatrix:
     if "values" in cfg:
         return DesignMatrix(values=cfg["values"], kind=kind)
     if "path" in cfg:
-        path = ctx.track_input(ctx.resolve(cfg["path"]))
+        path = ctx.input(cfg["path"], "design config key 'path'")
         return DesignMatrix(values=read_matrix_market(path), kind=kind)
     if kind == "basis" and "x" in cfg:
         return build_bspline_basis(
@@ -220,8 +215,7 @@ def _load_design(cfg, ctx: _RunContext, n_g: int) -> DesignMatrix:
 
 
 def _parse_elicitation(cfg, default_n=None) -> ElicitationSpec:
-    if not isinstance(cfg, dict):
-        raise ValueError("elicitation config must be a JSON object")
+    n = _integer(cfg, "n", default_n, "elicitation config")
     has_c = "c" in cfg
     has_likelihood = "likelihood" in cfg
     if has_c == has_likelihood:
@@ -233,18 +227,14 @@ def _parse_elicitation(cfg, default_n=None) -> ElicitationSpec:
         c = pseudo_variance(
             _require(lk, "kind", "likelihood config"), _require(lk, "value", "likelihood config")
         )
-    n = _integer(cfg, "n", default_n, "elicitation config")
     # p, q and pi0 fall back to the defaults ElicitationSpec declares
     given = {key: cfg[key] for key in ("p", "q", "pi0") if key in cfg}
     return ElicitationSpec(n=n, c=c, **given)
 
 
 def _load_params(cfg) -> DsdParams:
-    params = _require(cfg, "params")
-    if not isinstance(params, dict):
-        raise ValueError("'params' must be a JSON object")
     try:
-        return DsdParams(**params)
+        return DsdParams(**_require(cfg, "params"))
     except TypeError as exc:
         raise ValueError(f"bad prior parameters: {exc}") from exc
 
@@ -255,10 +245,10 @@ def _load_params(cfg) -> DsdParams:
 
 def _cmd_structure(cfg, ctx: _RunContext):
     spec = _load_structure(cfg, ctx)
-    ctx.write_matrix("structure.mtx", spec.precision)
-    ctx.write_json(
-        "structure.json",
+    write_matrix_market(ctx.output("structure.mtx"), spec.precision)
+    dump_json(
         {"label": spec.label, "n_g": spec.n_g, "rank_deficiency": spec.rank_deficiency},
+        ctx.output("structure.json"),
     )
 
 
@@ -268,26 +258,23 @@ def _cmd_weights(cfg, ctx: _RunContext):
     constrained = spec.rank_deficiency > 0
     weights = qf_weights(design, spec, constrained=constrained)
     labels = {"constrained": constrained, "design_kind": design.kind, "structure_label": spec.label}
-    ctx.write_json("weights.json", {**asdict(weights), **labels})
+    dump_json({**asdict(weights), **labels}, ctx.output("weights.json"))
 
 
 def _cmd_approx(cfg, ctx: _RunContext):
-    source = _require(cfg, "weights")
-    if not isinstance(source, str):
-        raise ValueError("config key 'weights' must be the path of a weights.json file")
-    doc = load_json(ctx.track_input(ctx.resolve(source)))
+    doc = load_json(ctx.input(_require(cfg, "weights"), "config key 'weights'"))
     weights = QfWeights(
         weights=_require(doc, "weights", "weights document"),
         n_predictor=_integer(doc, "n_predictor", where="weights document"),
         zero_count=_integer(doc, "zero_count", where="weights document"),
     )
     fit = gamma_approx(weights)
-    ctx.write_json("approx.json", {**asdict(fit), "n_predictor": weights.n_predictor})
+    dump_json({**asdict(fit), "n_predictor": weights.n_predictor}, ctx.output("approx.json"))
 
 
 def _cmd_elicit(cfg, ctx: _RunContext):
     spec = _parse_elicitation(cfg)
-    ctx.write_json("elicit.json", {**asdict(spec), **asdict(solve_scale(spec))})
+    dump_json({**asdict(spec), **asdict(solve_scale(spec))}, ctx.output("elicit.json"))
 
 
 def _cmd_prior(cfg, ctx: _RunContext):
@@ -297,17 +284,17 @@ def _cmd_prior(cfg, ctx: _RunContext):
     lo, hi = curve.quantile(np.array([1e-3, 1.0 - 1e-3]))
     s = np.exp(np.linspace(math.log(lo), math.log(hi), points))
     pdf = dsd_pdf(s, theta)
-    ctx.write_csv("prior_grid.csv", ("s", "pdf", "cdf"), (s, pdf, curve.cdf(s)))
+    write_csv(ctx.output("prior_grid.csv"), ("s", "pdf", "cdf"), (s, pdf, curve.cdf(s)))
     # the sd t = sqrt(s) has density 2 t f(t^2) = 2 t f(s)
     t = np.sqrt(s)
-    ctx.write_csv("prior_sd_grid.csv", ("sd", "pdf"), (t, 2.0 * t * pdf))
+    write_csv(ctx.output("prior_sd_grid.csv"), ("sd", "pdf"), (t, 2.0 * t * pdf))
 
 
 def _cmd_sample(cfg, ctx: _RunContext):
     theta = _load_params(cfg)
     count = _integer(cfg, "count")
     seed = ctx.settings["seed"] = _integer(cfg, "seed", 0)
-    ctx.write_csv("samples.csv", ("s",), (dsd_sample(theta, count, seed=seed),))
+    write_csv(ctx.output("samples.csv"), ("s",), (dsd_sample(theta, count, seed=seed),))
 
 
 def _cmd_pipeline(cfg, ctx: _RunContext):
@@ -315,8 +302,7 @@ def _cmd_pipeline(cfg, ctx: _RunContext):
     design = _load_design(_require(cfg, "design"), ctx, spec.n_g)
     elic = _parse_elicitation(_require(cfg, "elicitation"), default_n=design.n)
     prior = build_dsd_prior(design, spec, elic)
-    ctx.write_json(
-        "bundle.json",
+    dump_json(
         {
             "label": prior.label,
             "params": asdict(prior.params),
@@ -324,6 +310,7 @@ def _cmd_pipeline(cfg, ctx: _RunContext):
             **asdict(prior.weights),
             "provenance": prior.provenance,
         },
+        ctx.output("bundle.json"),
     )
 
 
@@ -333,7 +320,6 @@ def _cmd_verify(cfg, ctx: _RunContext):
     and the weighted chi-square distribution against Monte Carlo. Writes
     verify.json and fails with the numerical exit code if any check
     misses its bound."""
-    cfg = cfg or {}
     # the distributional checks need at least 1000 draws
     mc_draws = ctx.settings["mc_draws"] = _integer(cfg, "mc_draws", 200_000, minimum=1000)
     seed = ctx.settings["seed"] = _integer(cfg, "seed", 0)
@@ -413,9 +399,9 @@ def _cmd_verify(cfg, ctx: _RunContext):
     record("weighted-chi2[mc]", distance, 2.5 / math.sqrt(mc_draws))
 
     all_passed = all(check["passed"] for check in checks)
-    ctx.write_json(
-        "verify.json",
+    dump_json(
         {"all_passed": all_passed, "checks": checks, "mc_draws": mc_draws, "seed": seed},
+        ctx.output("verify.json"),
     )
     if not all_passed:
         failures = [check["name"] for check in checks if not check["passed"]]
@@ -436,6 +422,15 @@ _COMMANDS = {
 }
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas(module) -> dict:
+    # the build numpy or scipy links against; the two can differ
+    blas = module.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dsdprior", description=__doc__, add_help=True)
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -452,7 +447,7 @@ def main(argv=None) -> int:
         cfg_path = Path(args.config)
         # commands record the config values they used in settings
         ctx = _RunContext(cfg_dir=cfg_path.parent, out_dir=Path(args.out))
-        cfg = load_json(ctx.track_input(cfg_path))
+        cfg = load_json(ctx.input(cfg_path.name, "--config"))
         _COMMANDS[args.command](cfg, ctx)
         manifest = {
             "command": args.command,
@@ -462,6 +457,8 @@ def main(argv=None) -> int:
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
             },
+            "blas": {module.__name__: _blas(module) for module in (np, scipy)},
+            "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
             "settings": ctx.settings,
             "inputs": ctx.inputs,
             "outputs": {name: sha256_file(ctx.out_dir / name) for name in ctx.outputs},

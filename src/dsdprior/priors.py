@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize.elementwise import find_root
 from scipy.special import betainc, betaincinv, betaln
 
-from ._checks import benchmark_exponent, draw_count, positive_array, positive_fields, probabilities
+from ._checks import benchmark_exponent, integer, positive_array, positive_fields, probabilities
 from ._quad import ConvergenceError, log_tanh_sinh_01
 from .specfun import log_gauss_2f1_negz, log_kummer_u
 
@@ -209,7 +209,7 @@ def b2_sample(theta, count, seed):
     b W / (1 - W), W ~ Beta(p, q), rounds to 0.  Same (count, seed) gives
     bitwise-identical output; changing b only rescales it.  Raises
     ConvergenceError if a draw is not a positive finite double."""
-    count = draw_count(count)
+    count = integer("count", count, 1)
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         s = theta.b * (rng.gamma(theta.p, size=count) / rng.gamma(theta.q, size=count))
@@ -507,7 +507,7 @@ def dsd_sample(theta, count, seed):
     goes to numpy.random.default_rng, so a Generator is drawn from in
     place.  Raises ConvergenceError if a draw is not a positive finite
     double."""
-    count = draw_count(count)
+    count = integer("count", count, 1)
     t = theta
     rng = np.random.default_rng(seed)
     w = 1.0 if t.p == t.alpha_tilde else rng.beta(t.p, t.alpha_tilde - t.p, size=count)

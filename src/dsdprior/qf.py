@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from ._checks import draw_count, positive, positive_array, positive_fields
+from ._checks import integer, positive, positive_array, positive_fields
 from ._quad import ConvergenceError
 from .structure import QfWeights
 
@@ -140,7 +140,7 @@ def sample_v(w: QfWeights, sigma2: float, count: int, seed: int) -> np.ndarray:
     """Draw V = (sigma2/(n-1)) sum_k lambda_k X_k with X_k iid chi2_1,
     deterministically from the seed. One pass per weight keeps memory at
     two arrays of the requested size."""
-    sigma2, count = positive("sigma2", sigma2), draw_count(count)
+    sigma2, count = positive("sigma2", sigma2), integer("count", count, 1)
     rng = np.random.default_rng(seed)
     acc = np.zeros(count)
     for lam in w.weights:

@@ -255,17 +255,21 @@ def build_bspline_basis(x, m: int, degree: int = 3, bounds=None) -> DesignMatrix
     finite("x", x)
     degree = integer("degree", degree, 1)
     m = integer("m", m, degree + 2)
-    bounds = (x.min(), x.max()) if bounds is None else real_array("bounds", bounds)
-    if np.shape(bounds) != (2,):
+    bounds = np.array([x.min(), x.max()]) if bounds is None else real_array("bounds", bounds)
+    if bounds.shape != (2,):
         raise ValueError("bounds must be two real numbers")
+    finite("bounds", bounds)
     lo, hi = bounds
     if not hi > lo:
         raise ValueError("basis range is degenerate; pass explicit bounds")
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError("x must lie inside the basis bounds")
     n_seg = m - degree
-    dx = (hi - lo) / n_seg
-    knots = lo + dx * np.arange(-degree, n_seg + degree + 1)
+    # the grid reaches degree knot steps past each bound, which may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        knots = lo + (hi - lo) / n_seg * np.arange(-degree, n_seg + degree + 1)
+    if not np.all(np.isfinite(knots)):
+        raise ValueError(f"bounds {[float(lo), float(hi)]} put the knot grid outside double range")
     return DesignMatrix(BSpline.design_matrix(x, knots, degree, extrapolate=False), "basis")
 
 

@@ -123,7 +123,10 @@ class TestStructureCommand:
             blobs.append((tmp_path / tag / "structure.mtx").read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("recipe", ["rw2 20.5", "iid true", "crw1 0", "iid 0"])
+    @pytest.mark.parametrize(
+        # the last three are Python float spellings that JSON does not read
+        "recipe", ["rw2 20.5", "iid true", "crw1 0", "iid 0", "rw1 1_000", "rw1 +20", "rw1 \uff12\uff10"],
+    )
     def test_bad_size_names_the_recipe(self, tmp_path, capsys, recipe):
         cfg = write_config(tmp_path / "cfg.json", {"recipe": recipe})
         assert run("structure", "--config", cfg, "--out", tmp_path / "out") == 1
@@ -232,6 +235,14 @@ class TestWeightsCommand:
         capsys.readouterr()
         assert run("weights", "--config", cfg, "--out", tmp_path / "out2") == 1
         assert "'rank_deficiency'" in capsys.readouterr().err
+
+    def test_design_path_must_be_a_string(self, tmp_path, capsys):
+        design, structure = {"kind": "selection", "path": 5}, {"recipe": "rw1 5"}
+        cfg = write_config(tmp_path / "w.json", {"design": design, "structure": structure})
+        assert run("weights", "--config", cfg, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == "error: design config key 'path' must be a file path, got 5\n"
+        assert not (tmp_path / "out").exists()
 
     def test_structure_path_form_is_rejected(self, tmp_path, capsys):
         # the file recipe is the one way to name a structure file
@@ -600,6 +611,19 @@ class TestVerifyCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["settings"] == {"mc_draws": 30_000, "seed": 5}
 
+    def test_failing_check_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        # a residual of 1 misses every residual check's 1e-4 bound
+        monkeypatch.setattr(cli, "integral_equation_residual", lambda theta, v: np.ones(np.size(v)))
+        cfg = write_config(tmp_path / "cfg.json", {"mc_draws": 2_000})
+        out = tmp_path / "out"
+        assert run("verify", "--config", cfg, "--out", out) == 2
+        failed = "residual[generic], residual[pspline-m5], residual[pspline-m20]"
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: verification battery failed: {failed}\n")
+        doc = json.loads((out / "verify.json").read_text())
+        assert doc["all_passed"] is False
+        assert [check["name"] for check in doc["checks"] if not check["passed"]] == failed.split(", ")
+
     def test_single_weight_check_compares_independent_code(self, tmp_path):
         # the series' single term against erf: agreement to rounding, not 0 by construction
         cfg = write_config(tmp_path / "cfg.json", {"mc_draws": 2_000})
@@ -640,6 +664,47 @@ class TestManifest:
         assert docs[0] == docs[1]
 
 
+    def test_inputs_keyed_by_their_spelling(self, tmp_path):
+        # two files of one name in two directories keep two digests
+        k = build_rw(order=1, n_g=6).precision
+        for folder, matrix in (("a", k), ("b", scipy.sparse.eye_array(6, format="coo"))):
+            (tmp_path / folder).mkdir()
+            scipy.io.mmwrite(tmp_path / folder / "m.mtx", matrix)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {
+                "structure": {"recipe": "file a/m.mtx", "rank_deficiency": 1},
+                "design": {"kind": "selection", "path": "b/m.mtx"},
+                "elicitation": {"c": 1.0},
+            },
+        )
+        out = tmp_path / "out"
+        assert run("pipeline", "--config", cfg, "--out", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["inputs"] == {
+            "cfg.json": sha256_file(cfg),
+            "a/m.mtx": sha256_file(tmp_path / "a" / "m.mtx"),
+            "b/m.mtx": sha256_file(tmp_path / "b" / "m.mtx"),
+        }
+
+    def test_records_blas_builds_and_thread_variables(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg = write_config(tmp_path / "cfg.json", {"n": 30, "c": 1.0})
+        blobs = []
+        for tag in ("a", "b"):
+            assert run("elicit", "--config", cfg, "--out", tmp_path / tag) == 0
+            blobs.append((tmp_path / tag / "manifest.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        manifest = json.loads(blobs[0])
+        assert set(manifest["blas"]) == {"numpy", "scipy"}
+        for build in manifest["blas"].values():
+            assert set(build) == {"name", "version"}
+        threads = manifest["threads"]
+        assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert threads["OMP_NUM_THREADS"] == "1"
+        assert threads["MKL_NUM_THREADS"] is None
+
+
 class TestExitCodes:
     def test_missing_config(self, tmp_path):
         assert run("elicit", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 1
@@ -655,6 +720,13 @@ class TestExitCodes:
     def test_config_that_is_not_an_object(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", [1])
         assert run("verify", "--config", cfg, "--out", tmp_path / "o") == 1
+
+    @pytest.mark.parametrize("payload", [[], 0, False, "", None])
+    def test_empty_value_is_not_an_empty_config(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert run("verify", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_required_key(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"c": 1.0})
@@ -791,6 +863,14 @@ class TestRealKeys:
         assert run(command, "--config", cfg, "--out", tmp_path / "o") == 1
         assert "must be a real number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_infinite_bounds_are_rejected(self, tmp_path, capsys):
+        # JSON's Infinity reads as a float; the basis refuses it before any arithmetic
+        design = _basis(bounds=[0.0, float("inf")])
+        cfg = write_config(tmp_path / "cfg.json", {"design": design, "structure": RW2_5})
+        assert "Infinity" in cfg.read_text()
+        assert run("weights", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == "error: bounds must be finite\n"
 
     def test_integer_value_is_the_float(self, tmp_path):
         docs = []

@@ -189,9 +189,9 @@ class TestB2Sample:
 
     @pytest.mark.parametrize("count", [2.7, 3.0, 0, -1, True])
     def test_rejects_bad_count(self, count):
-        # the count rule shared with qf.sample_v: no float is truncated to
-        # a size, and a bool is not a count
-        with pytest.raises(ValueError, match="count must be a positive integer"):
+        # the library's integer rule with minimum 1, as in qf.sample_v: no
+        # float is truncated to a size, and a bool is not a count
+        with pytest.raises(ValueError, match=r"^count must be (an integer|>= 1), got "):
             b2_sample(B2Params(1.0, 0.5, 1.5), count, seed=3)
 
     def test_numpy_integer_count_draws_as_int(self):
@@ -472,6 +472,21 @@ class TestDsdCdfQuantile:
         curve.quantile(np.array([0.01, 0.3]))
         np.testing.assert_array_equal(seen[0], priors._LOG_TINY)
 
+    def test_density_mass_off_one_raises(self, monkeypatch):
+        # twice the density integrates to 2, which the construction check
+        # refuses with its five diagnostics
+        original = priors.dsd_logpdf
+
+        def doubled(s, theta):
+            return original(s, theta) + math.log(2.0)
+
+        monkeypatch.setattr(priors, "dsd_logpdf", doubled)
+        with pytest.raises(ConvergenceError, match="^density mass .* is not 1$") as info:
+            dsd_cdf_quantile(GENERIC)
+        diagnostics = info.value.diagnostics
+        assert set(diagnostics) == {"total_mass", "mass_error", "points", "s_lo", "s_hi"}
+        assert diagnostics["total_mass"] == pytest.approx(2.0, rel=1e-6)
+
     def test_unconverged_quantile_solve_raises(self, monkeypatch):
         curve = dsd_cdf_quantile(GENERIC)
         monkeypatch.setattr(priors, "_MAX_STEPS", 2)
@@ -497,7 +512,7 @@ class TestDsdSample:
 
     @pytest.mark.parametrize("count", [2.7, 3.0, 0, -1, True])
     def test_rejects_bad_count(self, count):
-        with pytest.raises(ValueError, match="count must be a positive integer"):
+        with pytest.raises(ValueError, match=r"^count must be (an integer|>= 1), got "):
             dsd_sample(GENERIC, count, seed=17)
 
     def test_numpy_integer_count_draws_as_int(self):

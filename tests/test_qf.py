@@ -200,8 +200,8 @@ class TestSampleV:
 
     @pytest.mark.parametrize("count", [2.7, 3.0, -1, True, np.True_])
     def test_rejects_non_integer_count(self, count):
-        # the count rule of priors.b2_sample and priors.dsd_sample
-        with pytest.raises(ValueError, match="count must be a positive integer"):
+        # the integer rule with minimum 1, as in priors.b2_sample and priors.dsd_sample
+        with pytest.raises(ValueError, match=r"^count must be (an integer|>= 1), got "):
             sample_v(_weights([1.0], 3), 1.0, count, seed=1)
 
     def test_numpy_integer_count_draws_as_int(self):

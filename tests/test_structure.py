@@ -238,6 +238,20 @@ class TestBuildBsplineBasis:
         with pytest.raises(ValueError):
             build_bspline_basis(np.array([0.3]), m=6, degree=3)
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ([0.0, np.inf], "bounds must be finite"),
+            ([np.nan, 1.0], "bounds must be finite"),
+            ([-1e308, 1e308], r"bounds \[.*\] put the knot grid outside double range"),
+        ],
+        ids=["infinite", "nan", "overflowing"],
+    )
+    def test_rejects_bounds_outside_double_range(self, bounds, message):
+        # refused before any arithmetic on them, so no RuntimeWarning
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_bspline_basis(np.linspace(0.0, 1.0, 10), m=6, bounds=bounds)
+
 
 class TestStructureSpec:
     def test_checks_hold_no_mask(self):

@@ -26,7 +26,7 @@ import os
 import platform
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -233,10 +233,12 @@ def _parse_elicitation(cfg, default_n=None) -> ElicitationSpec:
 
 
 def _load_params(cfg) -> DsdParams:
-    try:
-        return DsdParams(**_require(cfg, "params"))
-    except TypeError as exc:
-        raise ValueError(f"bad prior parameters: {exc}") from exc
+    params = _require(cfg, "params")
+    values = {f.name: _require(params, f.name, "params config") for f in fields(DsdParams)}
+    unknown = sorted(set(params) - set(values))
+    if unknown:
+        raise ValueError(f"params config has unknown keys {unknown}")
+    return DsdParams(**values)
 
 
 # ---------------------------------------------------------------------------

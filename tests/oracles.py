@@ -26,6 +26,11 @@ def log_hyp2f1(a, b, c, z):
     return float(mp.log(mp.hyp2f1(mp.mpf(a), mp.mpf(b), mp.mpf(c), mp.mpf(z))))
 
 
+def log_sum_exp(row):
+    """log of the sum of e^x over a row of finite or -inf floats."""
+    return float(mp.log(mp.fsum(mp.exp(mp.mpf(x)) for x in row)))
+
+
 def log_hyperu(a, b, z):
     return float(mp.log(mp.hyperu(mp.mpf(a), mp.mpf(b), mp.mpf(z))))
 

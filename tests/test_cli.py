@@ -728,6 +728,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: config must be a JSON object\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["prior", "sample"])
+    @pytest.mark.parametrize("params", [[1], 5, "b", None])
+    def test_params_that_is_not_an_object(self, tmp_path, capsys, command, params):
+        cfg = write_config(tmp_path / "cfg.json", {"params": params, "count": 10})
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == "error: params config must be a JSON object\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({k: v for k, v in GENERIC_PARAMS.items() if k != "q"},
+             "params config is missing required key 'q'"),
+            ({**GENERIC_PARAMS, "scale": 2.0}, "params config has unknown keys ['scale']"),
+        ],
+        ids=["missing", "unknown"],
+    )
+    def test_params_keys(self, tmp_path, capsys, params, message):
+        cfg = write_config(tmp_path / "cfg.json", {"params": params})
+        assert run("prior", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_required_key(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"c": 1.0})
         assert run("elicit", "--config", cfg, "--out", tmp_path / "o") == 1

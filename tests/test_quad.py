@@ -1,13 +1,22 @@
-"""Tests for the row handling of the log-space tanh-sinh rule: any
-number of rows goes in, no callback sees more than one block of them, and
-a row's value does not depend on the rows that share its block.  Both
-integrals below live on (0, 1) or reach it by substitution."""
+"""Tests for the log-space tanh-sinh rule.
+
+Row handling: any number of rows goes in, no callback sees more than one
+block of them, and a row's value does not depend on the rows that share
+its block.  Both integrals below live on (0, 1) or reach it by
+substitution.  The per-level log-sum is checked against 50-digit mpmath
+(tests/oracles.py), and the cached node tables against writes and
+against a cold cache."""
+
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import betaln, gammaln
 
-from dsdprior._quad import _BATCH, log_tanh_sinh_01
+import oracles
+from dsdprior._quad import _BATCH, _MAX_LEVEL, _level_table, _log_sum_exp, log_tanh_sinh_01
+from dsdprior.elicit import ElicitationSpec, solve_scale
+from dsdprior.specfun import log_gauss_2f1_negz
 
 # more rows than one block holds, so the rule must split them
 N_ROWS = _BATCH + 300
@@ -56,3 +65,62 @@ def test_rows_beyond_one_block(make_log_f, exact):
         ]
     )
     np.testing.assert_array_equal(batch, single)
+
+
+INF = np.inf
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[3.0, 3.0, 1.0, -2.0], [0.0, 0.0, 0.0, 0.0], [-1.5, 2.5, 2.5, 2.5]],
+        [[0.3], [-7.0], [700.0]],
+        [[-INF, 0.5, -INF, 2.0], [-INF, -INF, -INF, -3.0]],
+        [[700.0, 699.5, 650.0], [-700.0, -705.0, -745.0], [709.0, -709.0, 0.0]],
+        [[1e300, 0.0, -1e300], [0.0, -1e300, -1e300], [-1e300, -1e300, -5e299]],
+        [[-1e308, 1e308, 0.0]],
+    ],
+    ids=["max-ties", "one-column", "neg-inf", "near-700", "spread-1e300", "spread-overflows"],
+)
+def test_log_sum_exp_matches_mpmath(a):
+    got = _log_sum_exp(np.array(a))
+    for value, row in zip(got, a):
+        exact = oracles.log_sum_exp(row)
+        assert abs(value - exact) <= 2.0 * EPS * max(1.0, abs(exact)), (row, value, exact)
+
+
+def test_log_sum_exp_non_finite_rows():
+    a = np.array([[-INF, -INF, -INF], [1.0, INF, -INF], [0.0, np.nan, 1.0], [0.0, 0.0, -INF]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_sum_exp(a)
+    assert got[0] == -INF
+    assert got[1] == INF
+    assert np.isnan(got[2])
+    assert got[3] == oracles.log_sum_exp(a[3])
+
+
+def test_node_tables_are_read_only_and_bounded():
+    assert _level_table.cache_info().maxsize is not None
+    for level in range(_MAX_LEVEL + 1):
+        for array in _level_table(6.5, level):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: solve_scale(ElicitationSpec(n=366, c=5.16)).b,
+        lambda: log_gauss_2f1_negz(26.0, 2.0, 2.93, [-3.7])[0],
+    ],
+    ids=["scale", "2f1"],
+)
+def test_cold_and_warm_tables_agree(compute):
+    _level_table.cache_clear()
+    cold = compute()
+    assert _level_table.cache_info().currsize > 0
+    hits = _level_table.cache_info().hits
+    assert compute() == cold
+    assert _level_table.cache_info().hits > hits

@@ -9,8 +9,11 @@ come here through a substitution such as sigma = t / (1 - t).
 
 Convergence is tracked per row and a row's result freezes at its own
 stopping level, so a value never depends on which other rows happened
-to share the batch.  Callers pass any number of rows; the rule splits
-them into blocks of at most ``_BATCH``.
+to share the batch.  Callers pass any number of rows; a block holds
+int(_BATCH * 6.5 / u_max) of them, at least one.  A level's node count
+grows in proportion to u_max, so a block's (rows, nodes) float arrays
+keep the default window's (u_max = 6.5) bound in every window: at level
+10, 2048 rows of about 13.3k nodes, 0.22 GB each.
 
 Each level's terms are log f(t_j) + log w_j, one per node u_j = k h of
 the level, combined per row by the max-shifted log-sum
@@ -33,9 +36,8 @@ table holds about 2^(L+1) u_max nodes, so the worst case, every entry a
 level-10 table, is 4.2 MB per unit of u_max: 27 MB in the default
 window (u_max = 6.5) and 40 MB at u_max = 9.6 (power 0.05).  Only a
 power below about 1e-15 widens the window past u_max = 41; at the widest
-window a double power gives (u_max = 710.5, power near 2e-306) one
-level-10 table is 46.6 MB, the size of four rows of the integrand values
-that a call at that level allocates itself.
+finite window (u_max = 710.5, power near 2e-306) one level-10 table is
+46.6 MB; a smaller power raises ConvergenceError before any is built.
 """
 
 import functools
@@ -45,7 +47,7 @@ import numpy as np
 
 __all__ = ["ConvergenceError", "log_tanh_sinh_01"]
 
-# rows integrated together, so that peak node-array memory stays bounded
+# rows integrated together in the default window, bounding node-array memory
 _BATCH = 2048
 # relative change of the integral between levels at which a row settles
 _REL_TOL = 5e-13
@@ -112,10 +114,10 @@ def log_tanh_sinh_01(log_f, n_rows, power=None):
 
     log_f(t, log_t, log_1mt, rows) maps node arrays of shape (n_t,) to a
     (len(rows), n_t) array of log-integrand values for rows, an index
-    array of at most _BATCH rows out of range(n_rows).  Nodes follow the
-    tanh-sinh substitution t = logistic(pi*sinh(u)), which clusters
-    doubly-exponentially at both endpoints, so integrable endpoint
-    singularities of any algebraic strength are handled.
+    array of one block's rows (module docstring) out of range(n_rows).
+    Nodes follow the tanh-sinh substitution t = logistic(pi*sinh(u)),
+    which clusters doubly-exponentially at both endpoints, so integrable
+    endpoint singularities of any algebraic strength are handled.
 
     ``power`` is the integrand's weakest endpoint exponent k, the
     integrand behaving like t^(k-1) or (1-t)^(k-1) there.  The window
@@ -129,10 +131,13 @@ def log_tanh_sinh_01(log_f, n_rows, power=None):
     module docstring, with its worst-case cache bytes.
     """
     u_max = 6.5 if power is None else max(6.5, math.asinh(1100.0 / (math.pi * power)))
+    if not math.isfinite(u_max):
+        raise ConvergenceError("tanh-sinh window is not finite at this power", power=power)
+    block = max(1, int(_BATCH * 6.5 / u_max))
     h0 = 0.5
     out, running, prev = np.full(n_rows, np.nan), np.empty(n_rows), np.empty(n_rows)
-    for start in range(0, n_rows, _BATCH):
-        active = np.arange(start, min(start + _BATCH, n_rows))
+    for start in range(0, n_rows, block):
+        active = np.arange(start, min(start + block, n_rows))
         running[active] = _level_log_sum(log_f, u_max, 0, active)
         prev[active] = np.log(h0) + running[active]
         for level in range(1, _MAX_LEVEL + 1):

@@ -1,15 +1,16 @@
-"""Command line front end.
+"""Command line front end: dsdprior <command> --config FILE --out DIR.
 
-Each subcommand reads one JSON config file, writes fixed-name outputs
-into the --out directory, and finishes with a manifest.json recording
-library versions, numpy's and scipy's BLAS builds, the BLAS thread
-variables, the effective settings, and SHA-256 digests of every input
-(keyed by its spelling in the config) and output file. Outputs never
-depend on the clock or the output directory, so rerunning a command with
-the same config in the same environment produces byte-identical files.
+Each command reads one JSON config file, writes fixed-name outputs into
+the --out directory, and finishes with a manifest.json recording library
+versions, numpy's and scipy's BLAS builds, the BLAS thread variables,
+the effective settings, and SHA-256 digests of every input (keyed by its
+spelling in the config) and output file. Outputs never depend on the
+clock or the output directory, so rerunning a command with the same
+config in the same environment produces byte-identical files.
 
 Every input has one source. Seeds, draw counts, grid sizes and all model
-inputs are config keys; the only flags are --config and --out. Integer
+inputs are config keys; the only flags are --config and --out, which one
+parser requires of every command (--help lists the commands). Integer
 keys and recipe sizes (read as JSON numbers) accept 30 or 30.0 but not
 2.7, 1_000 or true.
 
@@ -434,12 +435,10 @@ def _blas(module) -> dict:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="dsdprior", description=__doc__, add_help=True)
-    subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, runner in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=(runner.__doc__ or "").split("\n")[0] or None)
-        sub.add_argument("--config", required=True, help="path to the JSON config file")
-        sub.add_argument("--out", required=True, help="output directory")
+    parser = _Parser(prog="dsdprior", description=__doc__)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="path to the JSON config file")
+    parser.add_argument("--out", required=True, help="output directory")
     return parser
 
 

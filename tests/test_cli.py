@@ -14,7 +14,7 @@ import scipy.io
 import scipy.sparse
 
 from dsdprior import cli
-from dsdprior._io import read_matrix_market, sha256_file
+from dsdprior._io import read_matrix_market, sha256_file, write_csv
 from dsdprior.elicit import ElicitationSpec, build_dsd_prior, solve_scale
 from dsdprior.priors import DsdParams, dsd_cdf_quantile, dsd_pdf, dsd_sample
 from dsdprior.qf import gamma_approx
@@ -110,9 +110,15 @@ class TestStructureCommand:
         want = build_rw(order=2, n_g=17, circular=True).precision.toarray()
         np.testing.assert_array_equal(a, want)
 
-    def test_bad_recipe_is_validation_error(self, tmp_path):
+    def test_bad_recipe_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", {"recipe": "rw7 10"})
         assert run("structure", "--config", cfg, "--out", tmp_path / "out") == 1
+        cfg = write_config(tmp_path / "cfg.json", {"recipe": "rw2"})
+        capsys.readouterr()
+        assert run("structure", "--config", cfg, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == "error: structure recipe must be '<kind> <argument>', got 'rw2'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_integral_float_size_is_the_size(self, tmp_path):
         # a recipe size passes the integer rule of config keys, so 20.0 is 20
@@ -242,6 +248,13 @@ class TestWeightsCommand:
         assert run("weights", "--config", cfg, "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err == "error: design config key 'path' must be a file path, got 5\n"
+        assert not (tmp_path / "out").exists()
+        design = {"kind": "selection"}
+        cfg = write_config(tmp_path / "w.json", {"design": design, "structure": structure})
+        assert run("weights", "--config", cfg, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "error: design config needs 'values', 'path', or a basis recipe with 'x' and 'm'\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_structure_path_form_is_rejected(self, tmp_path, capsys):
@@ -456,11 +469,21 @@ class TestPriorCommand:
         np.testing.assert_array_equal(t, np.sqrt(s))
         np.testing.assert_array_equal(pdf, 2.0 * np.sqrt(s) * s_pdf)
 
-    def test_numerical_failure_exit_code(self, tmp_path):
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
         bad = dict(GENERIC_PARAMS)
         bad["p"] = 1e-7
         cfg = write_config(tmp_path / "cfg.json", {"params": bad})
         assert run("prior", "--config", cfg, "--out", tmp_path / "out") == 2
+        # a power this small leaves the quadrature no finite window
+        bad["p"] = 1e-307
+        cfg = write_config(tmp_path / "cfg.json", {"params": bad})
+        capsys.readouterr()
+        assert run("prior", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: tanh-sinh window is not finite at this power\n"
+            "  power: 1e-307\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_grid_points_is_an_integer_key(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"params": GENERIC_PARAMS, "grid_points": 30.0})
@@ -588,6 +611,10 @@ class TestOutputLayout:
         assert set(bundle) == weight_keys | {"label", "params", "scale", "provenance"}
         assert set(bundle["scale"]) == scale_keys
         assert set(bundle["params"]) == {"alpha", "beta", "alpha_tilde", "beta_tilde", "b", "p", "q"}
+
+    def test_csv_refuses_non_finite_values(self, tmp_path):
+        with pytest.raises(ValueError, match="^cannot serialize non-finite value nan$"):
+            write_csv(tmp_path / "x.csv", ("s",), (np.array([1.0, np.nan]),))
 
 
 class TestVerifyCommand:
@@ -750,9 +777,18 @@ class TestExitCodes:
         assert run("prior", "--config", cfg, "--out", tmp_path / "o") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_missing_required_key(self, tmp_path):
+    def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", {"c": 1.0})
         assert run("elicit", "--config", cfg, "--out", tmp_path / "o") == 1
+        likelihood = {"kind": "binomial_logit", "value": 0.5}
+        for payload in ({"n": 30}, {"n": 30, "c": 1.0, "likelihood": likelihood}):
+            cfg = write_config(tmp_path / "cfg.json", payload)
+            capsys.readouterr()
+            assert run("elicit", "--config", cfg, "--out", tmp_path / "o") == 1
+            assert capsys.readouterr().err == (
+                "error: give exactly one of 'c' or 'likelihood' in the elicitation config\n"
+            )
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -905,24 +941,18 @@ class TestRealKeys:
 
 class TestReadmeFlagTable:
     def test_table_lists_the_registered_flags(self):
-        # every command registers --config and --out and nothing else, and
-        # the README says so in one sentence instead of a flag table
+        # one parser registers --config and --out for every command and
+        # nothing else, and the README says so in one sentence instead of a
+        # flag table
         readme = Path(__file__).resolve().parents[1] / "README.md"
         text = readme.read_text(encoding="utf-8")
         assert "The only flags are `--config` and `--out`" in text
         assert "| flag |" not in text
         parser = cli._build_parser()
-        (subparsers,) = (a for a in parser._actions if a.choices and a.dest == "command")
-        registered = {
-            (name, option)
-            for name, sub in subparsers.choices.items()
-            for action in sub._actions
-            for option in action.option_strings
-            if option.startswith("--") and option != "--help"
-        }
-        assert registered == {
-            (name, flag) for name in cli._COMMANDS for flag in ("--config", "--out")
-        }
+        options = sorted(option for action in parser._actions for option in action.option_strings)
+        assert options == ["--config", "--help", "--out", "-h"]
+        (command,) = (action for action in parser._actions if action.dest == "command")
+        assert command.choices is cli._COMMANDS
 
 
 class TestImportGraph:

@@ -103,6 +103,9 @@ class TestElicitationSpec:
             ElicitationSpec(n=10, c=1.0, pi0=1.0)
         with pytest.raises(ValueError, match="p < 1 \\+ alpha; got p=2.0, alpha=1.0"):
             ElicitationSpec(n=3, c=1.0, p=2.0)
+        # the solve takes only a spec that passed these checks
+        with pytest.raises(TypeError, match="^expected ElicitationSpec, got dict$"):
+            solve_scale({"n": 10, "c": 1.0})
 
 
 class TestSolveScale:
@@ -230,6 +233,13 @@ class TestBuildDsdPrior:
                 _identity_structure(12),
                 ElicitationSpec(n=10, c=1.0),
             )
+        good = (DesignMatrix.identity(10), _identity_structure(10), ElicitationSpec(n=10, c=1.0))
+        names = ("design", "DesignMatrix"), ("structure", "StructureSpec"), ("elic", "ElicitationSpec")
+        for index, (name, kind) in enumerate(names):
+            args = list(good)
+            args[index] = "x"
+            with pytest.raises(TypeError, match=f"^{name} must be {kind}, got str$"):
+                build_dsd_prior(*args)
 
     def test_reports_existence_violation(self):
         rng = np.random.default_rng(3)

@@ -319,6 +319,10 @@ class TestDsdParams:
         with pytest.raises(ValueError):
             DsdParams(alpha=24.5, beta=24.5, alpha_tilde=1.43, beta_tilde=0.061,
                       b=1.0, p=1.5, q=1.5)  # p > alpha~
+        # the curve takes only parameters that passed these checks
+        with pytest.raises(TypeError, match="^params must be DsdParams, got dict$"):
+            dsd_cdf_quantile(dict(alpha=24.5, beta=24.5, alpha_tilde=1.43, beta_tilde=0.061,
+                                  b=1.0, p=0.5, q=1.5))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -97,6 +97,8 @@ class TestGammaApprox:
             GammaApprox(alpha_tilde=0.0, beta_tilde=1.0)
         with pytest.raises(ValueError):
             GammaApprox(alpha_tilde=1.0, beta_tilde=-2.0)
+        with pytest.raises(ValueError, match=r"^alpha_tilde must be >= 1/2, got 0\.4$"):
+            GammaApprox(alpha_tilde=0.4, beta_tilde=1.0)
 
 
 class TestRubenCdf:

@@ -7,6 +7,7 @@ substitution.  The per-level log-sum is checked against 50-digit mpmath
 (tests/oracles.py), and the cached node tables against writes and
 against a cold cache."""
 
+import math
 import warnings
 
 import numpy as np
@@ -14,9 +15,16 @@ import pytest
 from scipy.special import betaln, gammaln
 
 import oracles
-from dsdprior._quad import _BATCH, _MAX_LEVEL, _level_table, _log_sum_exp, log_tanh_sinh_01
+from dsdprior._quad import (
+    _BATCH,
+    _MAX_LEVEL,
+    ConvergenceError,
+    _level_table,
+    _log_sum_exp,
+    log_tanh_sinh_01,
+)
 from dsdprior.elicit import ElicitationSpec, solve_scale
-from dsdprior.specfun import log_gauss_2f1_negz
+from dsdprior.specfun import log_gauss_2f1_negz, log_kummer_u
 
 # more rows than one block holds, so the rule must split them
 N_ROWS = _BATCH + 300
@@ -65,6 +73,41 @@ def test_rows_beyond_one_block(make_log_f, exact):
         ]
     )
     np.testing.assert_array_equal(batch, single)
+
+
+def test_wide_window_blocks_hold_fewer_rows():
+    # power 1e-15 widens the window to u_max = 41, about 6.3 times the
+    # default's nodes per level, so a block holds that many times fewer
+    # rows; the constant integrand settles at level 2
+    power = 1e-15
+    bound = int(_BATCH * 6.5 / math.asinh(1100.0 / (math.pi * power)))
+    seen = []
+
+    def log_f(t, log_t, log_1mt, rows):
+        seen.append(rows)
+        return np.zeros((rows.size, t.size))
+
+    got = log_tanh_sinh_01(log_f, 3000, power=power)
+    assert max(rows.size for rows in seen) <= bound < _BATCH
+    assert set(np.concatenate(seen).tolist()) == set(range(3000))
+    np.testing.assert_allclose(got, 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: log_kummer_u(1e-307, 1.0, [1.0]),
+        lambda: log_gauss_2f1_negz(2.0, 1e-307, 1.5, [-1.0]),
+    ],
+    ids=["kummer-u", "2f1"],
+)
+def test_power_without_a_finite_window_raises(call):
+    # 1100 / (pi * power) overflows, so the window |u| <= asinh(...) is infinite
+    _level_table.cache_clear()
+    with pytest.raises(ConvergenceError, match="window is not finite") as info:
+        call()
+    assert info.value.diagnostics == {"power": 1e-307}
+    assert _level_table.cache_info().currsize == 0
 
 
 INF = np.inf

@@ -216,4 +216,6 @@ class TestKummerU:
             _log_u(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             _log_u(1.0, 1.0, -3.0)
+        with pytest.raises(ValueError, match="^log_kummer_u requires a finite b, got inf$"):
+            _log_u(1.0, math.inf, 1.0)
 

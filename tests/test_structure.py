@@ -208,6 +208,10 @@ class TestBuildIcar:
             build_icar(np.array([[1.0, 1.0], [1.0, 0.0]]))  # self loop
         with pytest.raises(ValueError):
             build_icar(np.array([[0.0, 2.0], [2.0, 0.0]]))  # non-binary
+        with pytest.raises(
+            ValueError, match=r"^adjacency must be square with at least two vertices$"
+        ):
+            build_icar(np.zeros((1, 1)))
 
 
 class TestBuildBsplineBasis:
@@ -237,6 +241,8 @@ class TestBuildBsplineBasis:
     def test_rejects_degenerate_range(self):
         with pytest.raises(ValueError):
             build_bspline_basis(np.array([0.3]), m=6, degree=3)
+        with pytest.raises(ValueError, match="^x must be a non-empty vector$"):
+            build_bspline_basis(np.ones((2, 2)), m=6)
 
     @pytest.mark.parametrize(
         "bounds, message",
@@ -244,8 +250,10 @@ class TestBuildBsplineBasis:
             ([0.0, np.inf], "bounds must be finite"),
             ([np.nan, 1.0], "bounds must be finite"),
             ([-1e308, 1e308], r"bounds \[.*\] put the knot grid outside double range"),
+            ([0.0, 0.5, 1.0], "bounds must be two real numbers"),
+            ([0.0, 0.5], "x must lie inside the basis bounds"),
         ],
-        ids=["infinite", "nan", "overflowing"],
+        ids=["infinite", "nan", "overflowing", "three", "x-outside"],
     )
     def test_rejects_bounds_outside_double_range(self, bounds, message):
         # refused before any arithmetic on them, so no RuntimeWarning
@@ -270,6 +278,8 @@ class TestStructureSpec:
         k[0, 1] = 1e-6
         with pytest.raises(ValueError):
             StructureSpec(precision=k, rank_deficiency=0)
+        with pytest.raises(ValueError, match="^precision must be a square matrix$"):
+            StructureSpec(precision=np.ones((2, 3)), rank_deficiency=0)
 
     def test_rounding_asymmetry_is_averaged_away(self):
         k = np.eye(3)
@@ -283,6 +293,9 @@ class TestStructureSpec:
             with pytest.raises(ValueError, match="integer"):
                 StructureSpec(precision=np.eye(3), rank_deficiency=flag)
         assert StructureSpec(precision=np.eye(3), rank_deficiency=np.int64(1)).rank_deficiency == 1
+        for kappa in (-1, 3):
+            with pytest.raises(ValueError, match=r"^rank_deficiency must lie in \[0, n_g\)$"):
+                StructureSpec(precision=np.eye(3), rank_deficiency=kappa)
 
     def test_rejects_negative_definite_at_split(self):
         # rows of -I do not sum to 0, so the weights take the effect map,
@@ -290,6 +303,9 @@ class TestStructureSpec:
         spec = StructureSpec(precision=-np.eye(3), rank_deficiency=0)
         with pytest.raises(ValueError, match="no positive eigenvalues"):
             qf_weights(DesignMatrix.identity(3), spec, constrained=False)
+        spec = StructureSpec(precision=np.diag([1.0, -1.0]), rank_deficiency=0)
+        with pytest.raises(ValueError, match="^structure matrix is not positive semi-definite$"):
+            qf_weights(DesignMatrix.identity(2), spec, constrained=False)
 
     def test_rejects_declared_rank_mismatch(self):
         spec = StructureSpec(precision=np.eye(4), rank_deficiency=1)
@@ -715,6 +731,8 @@ class TestDesignMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DesignMatrix(values=np.zeros((0, 2)), kind="basis")
+        with pytest.raises(ValueError, match="^covariate-column kind requires a single column$"):
+            DesignMatrix(values=np.ones((3, 2)), kind="covariate-column")
 
     def test_values_are_a_read_only_copy(self):
         raw = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
@@ -756,3 +774,5 @@ class TestQfWeightsType:
         # the record owns the rule, so gamma_approx, ruben_cdf and sample_v need not
         with pytest.raises(ValueError, match="weights must be non-empty"):
             QfWeights(weights=np.array([]), n_predictor=10, zero_count=9)
+        with pytest.raises(ValueError, match="^weights must be a vector$"):
+            QfWeights(weights=np.ones((2, 2)), n_predictor=10, zero_count=6)

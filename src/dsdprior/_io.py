@@ -66,10 +66,10 @@ def write_csv(path, header, columns):
     length = columns[0].size
     if any(col.size != length for col in columns):
         raise ValueError("columns differ in length")
+    # every row is formatted before the file opens, so a raise leaves none
+    rows = [",".join(format_float(col[i]) for col in columns) for i in range(length)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(length):
-            fh.write(",".join(format_float(col[i]) for col in columns) + "\n")
+        fh.write("\n".join([",".join(header), *rows]) + "\n")
 
 
 def write_matrix_market(path, a):

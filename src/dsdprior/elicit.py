@@ -38,6 +38,8 @@ __all__ = [
 
 _LIKELIHOOD_KINDS = ("binomial_logit", "binomial_probit")
 _LOG_HUGE = math.log(np.finfo(float).max)
+# benchmark quantiles kept, one per (n, p, q, pi0), each a few hundred bytes
+_QUANTILES = 256
 
 
 def pseudo_variance(kind, value):
@@ -109,11 +111,18 @@ def solve_scale(spec):
     integrated in log space by tanh-sinh quadrature, which clusters its
     nodes at the step.  Brent's method solves log F(e^y) = log pi0 in
     y = log x from a bracket centred on the base prior's pi0-quantile,
-    widened in steps of 8 only as far as the root needs."""
+    widened in steps of 8 only as far as the root needs.  q_hat is solved
+    once per (n, p, q, pi0) in a process and kept in a bounded cache; a
+    warm answer carries the cold answer's bits."""
     if not isinstance(spec, ElicitationSpec):
         raise TypeError(f"expected ElicitationSpec, got {type(spec).__name__}")
-    p, q, pi0 = spec.p, spec.q, spec.pi0
-    shape = 0.5 * (spec.n - 1)
+    q_hat = _benchmark_quantile(spec.n, spec.p, spec.q, spec.pi0)
+    return ScaleSolution(b=spec.c / q_hat, quantile=q_hat, pi0=spec.pi0, c=spec.c)
+
+
+@functools.lru_cache(maxsize=_QUANTILES)
+def _benchmark_quantile(n, p, q, pi0):
+    shape = 0.5 * (n - 1)
     log_shape = math.log(shape)
     offset = betaln(p, q) + math.log(pi0)
 
@@ -147,8 +156,7 @@ def solve_scale(spec):
             break
     else:
         raise ConvergenceError("could not bracket the benchmark quantile", log_bracket=(lo, hi))
-    q_hat = math.exp(brentq(gap, lo, hi, xtol=1e-14))
-    return ScaleSolution(b=spec.c / q_hat, quantile=q_hat, pi0=pi0, c=spec.c)
+    return math.exp(brentq(gap, lo, hi, xtol=1e-14))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.linalg import eigvals_banded
 from scipy.sparse import csr_array, diags_array, eye_array, issparse
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
@@ -270,6 +269,8 @@ def build_bspline_basis(x, m: int, degree: int = 3, bounds=None) -> DesignMatrix
         knots = lo + (hi - lo) / n_seg * np.arange(-degree, n_seg + degree + 1)
     if not np.all(np.isfinite(knots)):
         raise ValueError(f"bounds {[float(lo), float(hi)]} put the knot grid outside double range")
+    # imported here, so only basis designs pay for scipy.interpolate
+    from scipy.interpolate import BSpline
     return DesignMatrix(BSpline.design_matrix(x, knots, degree, extrapolate=False), "basis")
 
 

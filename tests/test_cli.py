@@ -615,6 +615,8 @@ class TestOutputLayout:
     def test_csv_refuses_non_finite_values(self, tmp_path):
         with pytest.raises(ValueError, match="^cannot serialize non-finite value nan$"):
             write_csv(tmp_path / "x.csv", ("s",), (np.array([1.0, np.nan]),))
+        # no truncated file is left behind
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestVerifyCommand:
@@ -956,16 +958,22 @@ class TestReadmeFlagTable:
 
 
 class TestImportGraph:
-    def test_cli_import_leaves_scipy_stats_out(self):
-        # scipy.stats alone costs about half a second of command start-up,
-        # scipy.integrate about 40 ms
+    @staticmethod
+    def _loaded_after_cli_import(*modules):
         src = Path(cli.__file__).resolve().parents[1]
-        code = (
-            "import sys, dsdprior.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
-        )
+        code = f"import sys, dsdprior.cli; print([m for m in {modules!r} if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats alone costs about half a second of command start-up,
+        # scipy.integrate about 40 ms
+        assert self._loaded_after_cli_import("scipy.stats", "scipy.integrate") == "[]"
+
+    def test_cli_import_leaves_scipy_interpolate_out(self):
+        # about 25 ms even with scipy.optimize loaded; only B-spline
+        # basis designs import it
+        assert self._loaded_after_cli_import("scipy.interpolate") == "[]"

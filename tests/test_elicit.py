@@ -13,9 +13,11 @@ from scipy.special import betaln, gammaincc
 import oracles
 
 from dsdprior import structure
+from dsdprior._quad import ConvergenceError
 from dsdprior.elicit import (
     ComponentPrior,
     ElicitationSpec,
+    _benchmark_quantile,
     build_dsd_prior,
     pseudo_variance,
     solve_scale,
@@ -30,6 +32,19 @@ def _identity_structure(n):
 
 def _fixed_effect(x):
     return DesignMatrix(values=np.asarray(x, dtype=float)[:, None], kind="covariate-column")
+
+
+# 30-digit roots from oracles.benchmark_quantile.  The last three lie
+# far in the left tail: at large n, where the incomplete gamma factor is a
+# sharp step, and outside the first +-8 log-scale bracket (n = 2)
+ORACLE_QUANTILES = [
+    (2, 0.5, 0.5, 1.5, 0.06034314272692594),
+    (366, 0.5, 0.5, 1.5, 0.19439370338940432),
+    (30, 0.99, 2.5, 0.8, 823.9777619715512),
+    (2400, 0.01, 0.5, 1.5, 6.165153347573258e-05),
+    (2, 0.001, 1.4, 5.0, 2.2766005647314684e-07),
+    (5000, 0.001, 0.5, 1.5, 6.16665693393071e-07),
+]
 
 
 class TestLikelihoodKind:
@@ -116,20 +131,7 @@ class TestSolveScale:
         assert first.b.hex() == second.b.hex()
         assert first.quantile.hex() == second.quantile.hex()
 
-    # 30-digit roots from oracles.benchmark_quantile.  The last three lie
-    # far in the left tail: at large n, where the incomplete gamma factor
-    # is a sharp step, and outside the first +-8 log-scale bracket (n = 2)
-    @pytest.mark.parametrize(
-        "n, pi0, p, q, want",
-        [
-            (2, 0.5, 0.5, 1.5, 0.06034314272692594),
-            (366, 0.5, 0.5, 1.5, 0.19439370338940432),
-            (30, 0.99, 2.5, 0.8, 823.9777619715512),
-            (2400, 0.01, 0.5, 1.5, 6.165153347573258e-05),
-            (2, 0.001, 1.4, 5.0, 2.2766005647314684e-07),
-            (5000, 0.001, 0.5, 1.5, 6.16665693393071e-07),
-        ],
-    )
+    @pytest.mark.parametrize("n, pi0, p, q, want", ORACLE_QUANTILES)
     def test_quantile_matches_oracle(self, n, pi0, p, q, want):
         got = solve_scale(ElicitationSpec(n=n, c=1.0, pi0=pi0, p=p, q=q))
         assert got.quantile == pytest.approx(want, rel=1e-10)
@@ -182,6 +184,53 @@ class TestSolveScale:
         # p >= 1 + alpha makes the benchmark marginal non-normalizable
         with pytest.raises(ValueError):
             solve_scale(ElicitationSpec(n=2, c=1.0, p=2.0))
+
+
+class TestQuantileCache:
+    """q_hat depends on (n, p, q, pi0) only, so solve_scale solves it once
+    per process and answers later calls from a bounded cache."""
+
+    @pytest.mark.parametrize("n, pi0, p, q, want", ORACLE_QUANTILES)
+    def test_warm_answer_carries_cold_bits(self, n, pi0, p, q, want):
+        spec = ElicitationSpec(n=n, c=1.0, pi0=pi0, p=p, q=q)
+        _benchmark_quantile.cache_clear()
+        cold = solve_scale(spec)
+        hits = _benchmark_quantile.cache_info().hits
+        warm = solve_scale(spec)
+        assert _benchmark_quantile.cache_info().hits == hits + 1
+        assert warm.b.hex() == cold.b.hex()
+        assert warm.quantile.hex() == cold.quantile.hex()
+
+    def test_bounds_share_one_entry(self):
+        _benchmark_quantile.cache_clear()
+        for c in (0.5, 2.0, 5.16):
+            sol = solve_scale(ElicitationSpec(n=50, c=c, pi0=0.25))
+            assert sol.b == c / sol.quantile
+        assert _benchmark_quantile.cache_info().currsize == 1
+
+    def test_numpy_spelling_hits_python_entry(self):
+        _benchmark_quantile.cache_clear()
+        plain = solve_scale(ElicitationSpec(n=366, c=5.16, p=0.5, q=1.5, pi0=0.5))
+        hits = _benchmark_quantile.cache_info().hits
+        spelled = ElicitationSpec(
+            n=np.int64(366), c=np.float64(5.16), p=np.float64(0.5), q=np.float64(1.5), pi0=np.float64(0.5)
+        )
+        assert solve_scale(spelled) == plain
+        assert _benchmark_quantile.cache_info().hits == hits + 1
+        assert _benchmark_quantile.cache_info().currsize == 1
+
+    def test_cache_is_bounded(self):
+        assert _benchmark_quantile.cache_info().maxsize is not None
+
+    def test_failed_solve_is_not_kept(self):
+        # a documented failure (ROADMAP Baseline): small p at a tiny pi0
+        spec = ElicitationSpec(n=366, c=1.0, p=0.05, q=1.5, pi0=1e-6)
+        _benchmark_quantile.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="did not reach tolerance"):
+                solve_scale(spec)
+        assert _benchmark_quantile.cache_info().currsize == 0
+        assert _benchmark_quantile.cache_info().misses == 2
 
 
 class TestBuildDsdPrior:

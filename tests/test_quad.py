@@ -23,7 +23,7 @@ from dsdprior._quad import (
     _log_sum_exp,
     log_tanh_sinh_01,
 )
-from dsdprior.elicit import ElicitationSpec, solve_scale
+from dsdprior.elicit import ElicitationSpec, _benchmark_quantile, solve_scale
 from dsdprior.specfun import log_gauss_2f1_negz, log_kummer_u
 
 # more rows than one block holds, so the rule must split them
@@ -152,10 +152,16 @@ def test_node_tables_are_read_only_and_bounded():
                 array[0] = 0.0
 
 
+def _scale_from_quadrature():
+    # the quantile cache would answer before any node table is read
+    _benchmark_quantile.cache_clear()
+    return solve_scale(ElicitationSpec(n=366, c=5.16)).b
+
+
 @pytest.mark.parametrize(
     "compute",
     [
-        lambda: solve_scale(ElicitationSpec(n=366, c=5.16)).b,
+        _scale_from_quadrature,
         lambda: log_gauss_2f1_negz(26.0, 2.0, 2.93, [-3.7])[0],
     ],
     ids=["scale", "2f1"],

@@ -16,13 +16,14 @@ All densities have log variants and the base prior has closed-form
 CDF/quantile/sampling.  The design-adjusted prior's CDF, quantiles and
 draws come from its product form s = b (beta_tilde / beta) W G_alpha / G_q
 with W ~ Beta(p, alpha_tilde - p), G_alpha ~ Gamma(alpha) and
-G_q ~ Gamma(q) independent: one quadrature over W per CDF point, one
-vectorized call of scipy's bracketed `find_root` for quantiles, and
-composition for draws.  Since alpha_tilde <= alpha for every component, the
-prior lies in the stochastic order between two base priors, B2(c, p, q) and
-B2(c, alpha, q) with c = b beta_tilde / beta, and their closed-form
-quantiles bracket the root solve.  Its closed-form 2F1 density serves for
-density values and as an independent check of that product form.
+G_q ~ Gamma(q) independent: one quadrature over W per CDF point, a
+vectorized Newton iteration on it (the 2F1 density gives the slope) for
+quantiles, and composition for draws.  Since alpha_tilde <= alpha for
+every component, the prior lies in the stochastic order between two base
+priors, B2(c, p, q) and B2(c, alpha, q) with c = b beta_tilde / beta, and
+their closed-form quantiles safeguard the Newton solve.  Its closed-form
+2F1 density serves for density values and as an independent check of
+that product form.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 from scipy.special import betainc, betaincinv, betaln
 
 from ._checks import benchmark_exponent, integer, positive_array, positive_fields, probabilities
@@ -65,9 +65,9 @@ _TAIL = 1e-12
 _MASS_POINTS = 257
 _MASS_POINTS_MAX = 16385
 
-# quantile solve: log s must stay inside the normal doubles; it stops
-# when log s is bracketed to 1e-12 (relative on s) or the log tail
-# probability matches its target to 1e-13
+# quantile solve: log s must stay inside the normal doubles; a point
+# stops when its step in log s falls to 1e-12 (relative on s) or its log
+# tail probability matches its target to 1e-13
 _LOG_TINY = math.log(np.finfo(float).tiny)
 _LOG_HUGE = math.log(np.finfo(float).max)
 _Y_TOL = 1e-12
@@ -330,13 +330,16 @@ def _log_mass(theta, y, upper):
     def integrand(log_w, log_1mw, log_jac, log_wr, up):
         # I(sa, sb; z) with z = r / (w + r), or w / (w + r) on upper rows.
         # Where it exceeds 1/2 it is taken as 1 - I(sb, sa; 1 - z): 1 - z
-        # rounded near 0 would cost the step its precision when sb is small
+        # rounded near 0 would cost the step its precision when sb is small;
+        # the complement is evaluated only at those nodes
         log_den = np.logaddexp(0.0, log_wr)
         z = np.exp(np.where(up[:, None], log_wr, 0.0) - log_den)
-        zc = np.exp(np.where(up[:, None], 0.0, log_wr) - log_den)
         sa, sb = np.where(up, q, a)[:, None], np.where(up, a, q)[:, None]
         i = betainc(sa, sb, z)
-        i = np.where(i < 0.5, i, 1.0 - betainc(sb, sa, zc))
+        big = ~(i < 0.5)
+        sa, sb = (np.broadcast_to(v, i.shape)[big] for v in (sa, sb))
+        zc = np.exp((np.where(up[:, None], 0.0, log_wr) - log_den)[big])
+        i[big] = 1.0 - betainc(sb, sa, zc)
         with np.errstate(divide="ignore"):
             return (p - 1.0) * log_w + (d - 1.0) * log_1mw + log_jac + np.log(i)
 
@@ -361,13 +364,19 @@ def _log_mass(theta, y, upper):
     return np.logaddexp(lower, higher) - betaln(p, d)
 
 
-def _quantile(theta, u):
+def _quantile(theta, u, table=None):
     """Quantiles of the design-adjusted prior for u in (0, 1), vectorized.
 
     Solves in y = log s, lower tail on log F and upper tail (u > 1/2, where
-    1 - u is exact) on log P(s > e^y), by scipy's elementwise `find_root`
-    (Chandrupatla's bracketed method): each of its steps makes one batched
-    quadrature call over the points still open.
+    1 - u is exact) on log P(s > e^y), by a safeguarded Newton iteration:
+    each step makes one batched quadrature call over the points still open
+    and one density call for the slope, f(s) s / F (or / P(s > e^y)).  A
+    point starts at y interpolated in ``table``, the (y, log F, log
+    P(s > e^y)) grid of a `DsdCurve`, else at its bracket's midpoint.
+    Each evaluated point replaces the bracket end on its side; a step
+    that leaves the bracket, or follows a Newton step that did not halve
+    |gap|, bisects instead.  A point stops when its log tail probability
+    matches to 1e-13 or its step falls to 1e-12.
 
     The bracket is closed-form.  With c = b beta_tilde / beta, s <= c G_alpha
     / G_q because W <= 1, and W G_alpha >=st G_p2 because Beta(p, alpha_tilde
@@ -376,19 +385,14 @@ def _quantile(theta, u):
     theirs.  Every component the pipeline builds has alpha_tilde <= alpha,
     so p2 = p there.  The bracket is widened by one e-fold each way, so that
     rounding cannot flip its sign where a bound is exact, and clipped to
-    double range (to its floor where p2 <= 0); a point that the clipped
-    bracket does not hold raises ConvergenceError, as does a solve that
-    does not converge."""
+    double range (to its floor where p2 <= 0); a point that collapses onto
+    a bracket end with its gap never changing sign lies outside that range
+    and raises ConvergenceError, as does a solve that does not converge."""
     if theta.p == theta.alpha_tilde:
         return np.atleast_1d(b2_quantile(u, _reduced_base(theta)))
     upper = u > 0.5
     log_target = np.log(np.where(upper, 1.0 - u, u))
     sign = np.where(upper, -1.0, 1.0)
-
-    def gap(y, upper, log_target, sign):
-        # increasing in y, zero at the quantile
-        return sign * (_log_mass(theta, y, upper) - log_target)
-
     base = _reduced_base(theta)
     p2 = min(theta.p, theta.p + theta.alpha - theta.alpha_tilde)
     lo = np.full(u.size, _LOG_TINY)
@@ -397,29 +401,49 @@ def _quantile(theta, u):
             lo = np.log(b2_quantile(u, B2Params(base.b, p2, base.q))) - 1.0
         hi = np.log(b2_quantile(u, base)) + 1.0
     lo, hi = np.clip(lo, _LOG_TINY, _LOG_HUGE), np.clip(hi, _LOG_TINY, _LOG_HUGE)
-    res = find_root(
-        gap,
-        (lo, hi),
-        args=(upper, log_target, sign),
-        tolerances={"xatol": _Y_TOL, "xrtol": 0.0, "fatol": _GAP_TOL, "frtol": 0.0},
-        maxiter=_MAX_STEPS,
-    )
-    outside = res.status == -1
+    ends, y = (lo.copy(), hi.copy()), 0.5 * (lo + hi)
+    if table is not None:
+        grid, log_cdf, log_sf = table
+        seed = np.where(upper, np.interp(log_target, log_sf[::-1], grid[::-1]),
+                        np.interp(log_target, log_cdf, grid))
+        y = np.clip(seed, lo, hi)
+    last, status, k = np.full(u.size, np.inf), np.full(u.size, -2), np.arange(u.size)
+    for _ in range(_MAX_STEPS):
+        log_mass = _log_mass(theta, y[k], upper[k])
+        # increasing in y, zero at the quantile
+        gap = sign[k] * (log_mass - log_target[k])
+        lo[k], hi[k] = np.where(gap < 0.0, y[k], lo[k]), np.where(gap > 0.0, y[k], hi[k])
+        log_slope = dsd_logpdf(np.exp(y[k]), theta) + y[k] - log_mass
+        with np.errstate(all="ignore"):
+            step = y[k] - gap / np.exp(log_slope)
+        bisect = ~((lo[k] < step) & (step < hi[k])) | (np.abs(gap) > 0.5 * last[k])
+        last[k] = np.where(bisect, np.inf, np.abs(gap))
+        step = np.where(bisect, 0.5 * (lo[k] + hi[k]), step)
+        hit = np.abs(gap) <= _GAP_TOL
+        done = hit | (np.abs(step - y[k]) <= _Y_TOL) | np.isnan(gap)
+        y[k] = np.where(hit, y[k], step)
+        status[k[done]] = np.where(np.isnan(gap), -3, 0)[done]
+        k = k[~done]
+        if k.size == 0:
+            break
+    # collapsed onto a bracket end that no evaluated point moved
+    low, high = (lo == ends[0]) & (y - lo <= _Y_TOL), (hi == ends[1]) & (hi - y <= _Y_TOL)
+    outside = (status == 0) & (low | high)
     if np.any(outside):
         raise ConvergenceError(
             "prior quantile lies outside double range",
             u=u[outside],
-            log_bracket=(float(lo.min()), float(hi.max())),
+            log_bracket=(float(ends[0].min()), float(ends[1].max())),
         )
-    if not np.all(res.success):
-        failed = ~res.success
+    if np.any(status != 0):
+        failed = status != 0
         raise ConvergenceError(
             "prior quantile solve did not converge",
             u=u[failed],
-            status=res.status[failed],
-            log_bracket_width=(res.bracket[1] - res.bracket[0])[failed],
+            status=status[failed],
+            log_bracket_width=(hi - lo)[failed],
         )
-    return np.exp(res.x)
+    return np.exp(y)
 
 
 def _log_grid_integrals(theta, log_kernel):
@@ -428,18 +452,18 @@ def _log_grid_integrals(theta, log_kernel):
     between the product form's _TAIL and 1 - _TAIL quantiles; it converges
     exponentially there, the integrand being ~0 at both ends.  Returns the
     integrals, their differences from the half grid, which rows settled,
-    the grid size and the grid's ends."""
-    s_lo, s_hi = _quantile(theta, np.array([_TAIL, 1.0 - _TAIL]))
+    the final grid y, the integrands on it and the grid's ends in s."""
+    ends = _quantile(theta, np.array([_TAIL, 1.0 - _TAIL]))
     points = _MASS_POINTS
     while True:
-        y = np.linspace(math.log(s_lo), math.log(s_hi), points)
+        y = np.linspace(math.log(ends[0]), math.log(ends[1]), points)
         with np.errstate(under="ignore"):
             g = np.exp(log_kernel(y) + dsd_logpdf(np.exp(y), theta) + y)
         full = np.trapezoid(g, y, axis=1)
         error = np.abs(full - np.trapezoid(g[:, ::2], y[::2], axis=1))
         settled = error <= 1e-6 * full
         if np.all(settled) or points >= _MASS_POINTS_MAX:
-            return full, error, settled, points, float(s_lo), float(s_hi)
+            return full, error, settled, y, g, ends
         points = 2 * points - 1
 
 
@@ -448,35 +472,36 @@ class DsdCurve:
     product form s = b (beta_tilde / beta) W G_alpha / G_q.
 
     The CDF is one tanh-sinh integral over W ~ Beta(p, alpha_tilde - p)
-    per point, and quantiles solve it by one vectorized `find_root` call
-    inside the closed-form bracket of `_quantile`; nothing is tabulated.
-    Construction checks the closed-form density against the product form:
-    the 2F1 density, integrated on the log grid of
-    `integral_equation_residual`, plus the 2e-12 outside it, must give
-    total mass 1 within 1e-6.  ``diagnostics`` records that mass, its
-    error (the difference from the half grid), the grid size and the
-    grid's ends.  In the boundary case p = alpha_tilde, density, CDF and
-    quantiles are those of the rescaled base prior, and the mass is
+    per point; quantiles solve it by the Newton iteration of `_quantile`,
+    each point seeded from the cumulative trapezoid mass on the grid that
+    checks the closed-form density against the product form: the 2F1
+    density, integrated on the log grid of `integral_equation_residual`,
+    plus the 2e-12 outside it, must give total mass 1 within 1e-6.  The
+    grid is kept only as that seed table.  ``diagnostics`` records that
+    mass, its error (the difference from the half grid), the grid size and
+    the grid's ends.  In the boundary case p = alpha_tilde, density, CDF
+    and quantiles are those of the rescaled base prior, and the mass is
     measured the same way."""
 
     def __init__(self, params):
         if not isinstance(params, DsdParams):
             raise TypeError(f"params must be DsdParams, got {type(params).__name__}")
         self.params = params
-        mass, error, _, points, s_lo, s_hi = _log_grid_integrals(
-            params, lambda y: np.zeros((1, y.size))
-        )
+        mass, error, _, y, g, ends = _log_grid_integrals(params, lambda y: np.zeros((1, y.size)))
         self.diagnostics = {
             "total_mass": float(mass[0]) + 2.0 * _TAIL,
             "mass_error": float(error[0]),
-            "points": points,
-            "s_lo": s_lo,
-            "s_hi": s_hi,
+            "points": y.size,
+            "s_lo": float(ends[0]),
+            "s_hi": float(ends[1]),
         }
         if abs(self.diagnostics["total_mass"] - 1.0) > 1e-6:
             raise ConvergenceError(
                 "density mass between the product-form quantiles is not 1", **self.diagnostics
             )
+        # the quantile solve's seeds: log F and log P(s > e^y) on the grid
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(y) * (g[0, 1:] + g[0, :-1]))))
+        self._table = (y, np.log(_TAIL + cum), np.log(_TAIL + (cum[-1] - cum)))
 
     def cdf(self, s):
         """CDF at s > 0; vectorized, in [0, 1]."""
@@ -490,7 +515,7 @@ class DsdCurve:
     def quantile(self, u):
         """Quantile for u strictly inside (0, 1); inverse of `cdf`."""
         arr = probabilities("u", u)
-        return _unwrap(_quantile(self.params, arr), u)
+        return _unwrap(_quantile(self.params, arr, self._table), u)
 
 
 def dsd_cdf_quantile(theta):
@@ -542,11 +567,11 @@ def integral_equation_residual(theta, v_grid):
             - np.outer(v, bt * np.exp(-y))
         )
 
-    mixed, _, settled, points, _, _ = _log_grid_integrals(theta, log_kernel)
+    mixed, _, settled, y, _, _ = _log_grid_integrals(theta, log_kernel)
     if not np.all(settled):
         raise ConvergenceError(
             "mixing integrals did not settle on the log-s grid",
-            points=points,
+            points=y.size,
             unsettled_points=v[~settled],
         )
     closed = twoF0_pdf(v, TwoF0Params(theta.alpha, theta.beta, theta.b, theta.p, theta.q))

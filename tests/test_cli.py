@@ -959,9 +959,9 @@ class TestReadmeFlagTable:
 
 class TestImportGraph:
     @staticmethod
-    def _loaded_after_cli_import(*modules):
+    def _loaded_after_import(package_module, *modules):
         src = Path(cli.__file__).resolve().parents[1]
-        code = f"import sys, dsdprior.cli; print([m for m in {modules!r} if m in sys.modules])"
+        code = f"import sys, {package_module}; print([m for m in {modules!r} if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -971,9 +971,14 @@ class TestImportGraph:
     def test_cli_import_leaves_scipy_stats_out(self):
         # scipy.stats alone costs about half a second of command start-up,
         # scipy.integrate about 40 ms
-        assert self._loaded_after_cli_import("scipy.stats", "scipy.integrate") == "[]"
+        assert self._loaded_after_import("dsdprior.cli", "scipy.stats", "scipy.integrate") == "[]"
 
     def test_cli_import_leaves_scipy_interpolate_out(self):
         # about 25 ms even with scipy.optimize loaded; only B-spline
         # basis designs import it
-        assert self._loaded_after_cli_import("scipy.interpolate") == "[]"
+        assert self._loaded_after_import("dsdprior.cli", "scipy.interpolate") == "[]"
+
+    def test_priors_import_leaves_scipy_optimize_out(self):
+        # quantiles are solved by the module's own Newton iteration; the
+        # CLI still loads scipy.optimize through elicit's brentq
+        assert self._loaded_after_import("dsdprior.priors", "scipy.optimize") == "[]"

@@ -464,6 +464,8 @@ class TestDsdCdfQuantile:
         np.testing.assert_allclose(curve.cdf(curve.quantile(u)), u, rtol=1e-10)
 
     def test_nonpositive_lower_origin_exponent_brackets_from_the_floor(self, monkeypatch):
+        # without a seed table the solve starts at its bracket's midpoint,
+        # halfway between the floor of double range and the upper bound
         seen = []
         original = priors._log_mass
 
@@ -471,10 +473,11 @@ class TestDsdCdfQuantile:
             seen.append(np.array(y))
             return original(theta, y, upper)
 
-        curve = dsd_cdf_quantile(ABOVE_ALPHA[1])
+        theta, u = ABOVE_ALPHA[1], np.array([0.01, 0.3])
         monkeypatch.setattr(priors, "_log_mass", spy)
-        curve.quantile(np.array([0.01, 0.3]))
-        np.testing.assert_array_equal(seen[0], priors._LOG_TINY)
+        priors._quantile(theta, u)
+        hi = np.log(b2_quantile(u, priors._reduced_base(theta))) + 1.0
+        np.testing.assert_array_equal(seen[0], 0.5 * (priors._LOG_TINY + hi))
 
     def test_density_mass_off_one_raises(self, monkeypatch):
         # twice the density integrates to 2, which the construction check
@@ -499,6 +502,36 @@ class TestDsdCdfQuantile:
             curve.quantile(u)
         np.testing.assert_array_equal(info.value.diagnostics["u"], u)
         assert np.all(info.value.diagnostics["log_bracket_width"] > priors._Y_TOL)
+
+    @pytest.mark.parametrize("theta", [GENERIC, BATTERY[4]], ids=["generic", "alpha1017"])
+    def test_array_quantiles_equal_scalar_calls(self, theta):
+        # each point's Newton iteration and quadrature rows are its own
+        curve = dsd_cdf_quantile(theta)
+        u = np.array([1e-9, 1e-3, 0.025, 0.5, 0.975, 1.0 - 1e-3, 1.0 - 1e-9])
+        got = curve.quantile(u)
+        np.testing.assert_array_equal(got, [curve.quantile(float(x)) for x in u])
+
+    def test_quantile_work_guard(self, monkeypatch):
+        # the Newton solve with the density's slope, seeded from the
+        # construction grid, needs at most 5 quadrature calls per solve
+        calls = []
+        original = priors._log_mass
+
+        def counted(theta, y, upper):
+            calls.append(y.size)
+            return original(theta, y, upper)
+
+        monkeypatch.setattr(priors, "_log_mass", counted)
+        for theta in BATTERY:
+            if theta.p == theta.alpha_tilde:
+                continue
+            curve = dsd_cdf_quantile(theta)
+            assert len(calls) <= 5, (theta, "construction", len(calls))
+            for u in (np.array([0.025, 0.5, 0.975]), 1e-3, 1.0 - 1e-3):
+                calls.clear()
+                curve.quantile(u)
+                assert len(calls) <= 5, (theta, u, len(calls))
+            calls.clear()
 
     @pytest.mark.parametrize("theta", [GENERIC, BATTERY[4]], ids=["generic", "alpha1017"])
     def test_upper_tail_quantiles_against_survival_reference(self, theta):
